@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict
 
 from . import __version__
-from .copula import copula_from_json, copula_sample
+from .codec import sole_float_field
+from .copula import COPULA_NODES, copula_from_json, copula_sample
 from .dist import check_order, dist_from_json
 from .errors import Inconclusive, SpcopError, SpecError
 from .oracle import run_verification
@@ -27,31 +28,7 @@ from .precedence import best_eta_report, classify, sp_level
 from .rng import resolve_workers
 from .tba import Prospect, rank_prospects
 
-__all__ = ["main", "run", "RunConfig"]
-
-_COMMANDS = ("eta", "xi", "classify", "order", "rank", "sample", "verify", "curve")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; the seed is always recorded in the output."""
-
-    command: str
-    spec_path: Optional[str]
-    samples: int = 10 ** 6
-    seed: int = 0
-    tol: float = 1e-9
-    output: str = "json"
-    grid: int = 512
-    workers: int = 1
-    gamma: Optional[float] = None
-    relation: str = "st"
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(args.command, args.spec, args.samples, args.seed,
-                         args.tol, args.output, args.grid, args.workers,
-                         args.gamma, args.relation)
+__all__ = ["main", "run"]
 
 
 def _fmt(x) -> str:
@@ -65,9 +42,12 @@ def _load_doc(path):
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecError(f"cannot read spec document {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError(f"spec document {path} must be a JSON object")
+    return doc
 
 
 def _need(doc, key):
@@ -85,60 +65,59 @@ def _marginals(doc):
     return dist_from_json(doc["g1"]), dist_from_json(doc["g2"])
 
 
-def _envelope(args, result, method=None):
-    out = {
-        "command": args.command,
-        "tool_version": __version__,
-        "seed": args.seed,
-        "samples": args.samples,
-        "workers": resolve_workers(args.workers),
-    }
-    if method is not None:
-        out["method"] = method
-    out["result"] = result
-    return out
+def _metadata(args, method):
+    return {"command": args.command, "tool_version": __version__, "seed": args.seed,
+            "samples": args.samples, "workers": resolve_workers(args.workers),
+            "method": method}
 
 
-def _emit_json(stream, envelope):
+def _emit_json(stream, args, result, method):
+    envelope = _metadata(args, method)
+    envelope["result"] = result
     stream.write(json.dumps(envelope, indent=2))
     stream.write("\n")
 
 
-def _emit_csv(stream, args, rows, method=None):
-    stream.write(f"# command={args.command}\n")
-    stream.write(f"# tool_version={__version__}\n")
-    stream.write(f"# seed={args.seed}\n")
-    stream.write(f"# samples={args.samples}\n")
-    stream.write(f"# workers={resolve_workers(args.workers)}\n")
-    if method is not None:
-        stream.write(f"# method={method}\n")
+def _emit_csv(stream, args, rows, method):
+    for key, value in _metadata(args, method).items():
+        stream.write(f"# {key}={value}\n")
     for row in rows:
         stream.write(",".join(_fmt(c) for c in row))
         stream.write("\n")
 
 
+def _emit_record(stream, args, record, method):
+    """One result object: the JSON envelope, or a CSV header and value row."""
+    if args.output == "csv":
+        values = [json.dumps(v) if isinstance(v, dict) else v for v in record.values()]
+        _emit_csv(stream, args, [list(record), values], method)
+    else:
+        _emit_json(stream, args, record, method)
+
+
 def _cmd_eta(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
     g1, g2 = _marginals(doc)
-    report = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
-                             tol=args.tol, workers=resolve_workers(args.workers))
-    result = report.to_json()
+    workers = resolve_workers(args.workers)
     exit_code = 0
+    level = None
     if args.gamma is not None and g1 is not None:
         try:
-            level = sp_level(spec, g1, g2, args.gamma, n=args.samples,
-                             seed=args.seed, workers=resolve_workers(args.workers))
-            result["sp_level"] = {"gamma": args.gamma, "holds": level.holds}
+            checked = sp_level(spec, g1, g2, args.gamma, n=args.samples, seed=args.seed,
+                               workers=workers, tol=args.tol)
+            report = checked.report
+            level = {"gamma": args.gamma, "holds": checked.holds}
         except Inconclusive as exc:
-            result["sp_level"] = {"gamma": args.gamma, "holds": None,
-                                  "inconclusive": str(exc)}
+            report = exc.report
+            level = {"gamma": args.gamma, "holds": None, "inconclusive": str(exc)}
             exit_code = 2
-    if args.output == "csv":
-        keys = list(result.keys())
-        flat = {k: (json.dumps(v) if isinstance(v, dict) else v) for k, v in result.items()}
-        _emit_csv(stream, args, [keys, [flat[k] for k in keys]], method=report.method)
     else:
-        _emit_json(stream, _envelope(args, result, method=report.method))
+        report = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
+                                 tol=args.tol, workers=workers)
+    result = asdict(report)
+    if level is not None:
+        result["sp_level"] = level
+    _emit_record(stream, args, result, report.method)
     return exit_code
 
 
@@ -146,38 +125,30 @@ def _cmd_classify(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
     if args.gamma is None:
         raise SpecError("classify needs --gamma")
-    verdict = classify(spec, args.gamma, tol=args.tol)
-    if args.output == "csv":
-        d = verdict.to_json()
-        _emit_csv(stream, args, [list(d.keys()), list(d.values())], method="closed_form")
-    else:
-        _emit_json(stream, _envelope(args, verdict.to_json(), method="closed_form"))
+    _emit_record(stream, args, asdict(classify(spec, args.gamma, tol=args.tol)), "closed_form")
     return 0
 
 
 def _cmd_order(args, doc, stream):
     g1 = dist_from_json(_need(doc, "g1"))
     g2 = dist_from_json(_need(doc, "g2"))
-    res = check_order(args.relation, g1, g2, grid=args.grid)
-    result = {"relation": res.relation, "holds": res.holds,
-              "witness": res.witness, "grid_size": res.grid_size}
-    if args.output == "csv":
-        _emit_csv(stream, args, [list(result.keys()), list(result.values())],
-                  method="order_check")
-    else:
-        _emit_json(stream, _envelope(args, result, method="order_check"))
+    _emit_record(stream, args, asdict(check_order(args.relation, g1, g2, grid=args.grid)),
+                 "order_check")
     return 0
 
 
 def _cmd_rank(args, doc, stream):
     target = dist_from_json(_need(doc, "target"))
-    prospects = [Prospect.from_json(p) for p in _need(doc, "prospects")]
+    prospects = _need(doc, "prospects")
+    if not isinstance(prospects, list):
+        raise SpecError(f"'prospects' must be an array, got {prospects!r}")
+    prospects = [Prospect.from_json(p) for p in prospects]
     table = rank_prospects(target, prospects, n=args.samples, seed=args.seed,
                            workers=resolve_workers(args.workers))
     if args.output == "csv":
-        _emit_csv(stream, args, table.to_csv_rows(), method="ranking")
+        _emit_csv(stream, args, table.to_csv_rows(), "ranking")
     else:
-        _emit_json(stream, _envelope(args, table.to_json(), method="ranking"))
+        _emit_json(stream, args, asdict(table), "ranking")
     return 0
 
 
@@ -186,13 +157,11 @@ def _cmd_sample(args, doc, stream):
     samples = copula_sample(spec, args.seed, args.samples,
                             workers=resolve_workers(args.workers))
     if args.output == "json":
-        rows = [{"u": s.u, "v": s.v, "component": s.component,
-                 "structural_tie": s.structural_tie} for s in samples]
-        _emit_json(stream, _envelope(args, rows, method="philox_sampler"))
+        _emit_json(stream, args, [vars(s) for s in samples], "philox_sampler")
     else:
         body = [["u", "v", "component", "structural_tie"]]
         body += [[s.u, s.v, s.component, s.structural_tie] for s in samples]
-        _emit_csv(stream, args, body, method="philox_sampler")
+        _emit_csv(stream, args, body, "philox_sampler")
     return 0
 
 
@@ -201,42 +170,47 @@ def _cmd_verify(args, doc, stream):
     if args.output == "csv":
         body = [["check", "passed"]]
         body += [[c["name"], c["passed"]] for c in report["checks"]]
-        _emit_csv(stream, args, body, method="oracle_suite")
+        _emit_csv(stream, args, body, "oracle_suite")
     else:
-        _emit_json(stream, _envelope(args, report, method="oracle_suite"))
+        _emit_json(stream, args, report, "oracle_suite")
     return 0
 
 
 def _cmd_curve(args, doc, stream):
     family = _need(doc, "family")
+    # every node whose only field is a float is a one-parameter family
+    families = {node: param for node, cls in COPULA_NODES.items()
+                if (param := sole_float_field(cls)) is not None}
+    param = families.get(family) if isinstance(family, str) else None
+    if param is None:
+        names = " and ".join(sorted(families))
+        raise SpecError(f"curve supports {names} families, not {family!r}")
     g1, g2 = _marginals(doc)
     if "values" in doc:
-        values = [float(x) for x in doc["values"]]
+        values = doc["values"]
+        if not isinstance(values, list):
+            raise SpecError(f"'values' must be an array, got {values!r}")
     else:
-        start = float(_need(doc, "start"))
-        stop = float(_need(doc, "stop"))
-        step = float(_need(doc, "step"))
-        count = int(round((stop - start) / step)) + 1
-        values = [round(start + i * step, 12) + 0.0 for i in range(count)]
-    if family == "gaussian":
-        param = "rho"
-        specs = [copula_from_json({"node": "gaussian", "rho": x}) for x in values]
-    elif family == "shuffle":
-        param = "gamma"
-        specs = [copula_from_json({"node": "shuffle", "gamma": x}) for x in values]
-    else:
-        raise SpecError(f"curve supports gaussian and shuffle families, not {family!r}")
+        bounds = [_need(doc, k) for k in ("start", "stop", "step")]
+        try:
+            start, stop, step = map(float, bounds)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(f"start, stop and step must be numbers, got {bounds!r}") from exc
+        span = (stop - start) / step if step else math.nan
+        if not (math.isfinite(span) and span >= 0.0):
+            raise SpecError("need finite start and stop and a nonzero step toward stop, "
+                            f"got start={start}, stop={stop}, step={step}")
+        values = [round(start + i * step, 12) + 0.0 for i in range(int(round(span)) + 1)]
+    specs = [copula_from_json({"node": family, param: x}) for x in values]
     rows = [[param, "eta", "xi", "method"]]
-    json_rows = []
-    for x, spec in zip(values, specs):
+    for spec in specs:
         rep = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
                               tol=args.tol, workers=resolve_workers(args.workers))
-        rows.append([x, rep.eta, rep.xi, rep.method])
-        json_rows.append({param: x, "eta": rep.eta, "xi": rep.xi, "method": rep.method})
+        rows.append([getattr(spec, param), rep.eta, rep.xi, rep.method])
     if args.output == "json":
-        _emit_json(stream, _envelope(args, json_rows, method="curve"))
+        _emit_json(stream, args, [dict(zip(rows[0], row)) for row in rows[1:]], "curve")
     else:
-        _emit_csv(stream, args, rows, method="curve")
+        _emit_csv(stream, args, rows, "curve")
     return 0
 
 
@@ -252,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spcop",
         description="Stochastic precedence and tie mass for bivariate copulas")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--spec", default=None, help="path to the JSON input document")
         p.add_argument("--samples", type=int, default=10 ** 6)
@@ -268,11 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig.from_args(args)
-    if config.command != "verify" and config.spec_path is None:
-        raise SpecError(f"{config.command} needs --spec <path>")
-    doc = _load_doc(config.spec_path)
-    return _DISPATCH[config.command](config, doc, stream)
+    if args.command != "verify" and args.spec is None:
+        raise SpecError(f"{args.command} needs --spec <path>")
+    doc = _load_doc(args.spec)
+    return _DISPATCH[args.command](args, doc, stream)
 
 
 def main(argv=None) -> int:
@@ -280,9 +253,6 @@ def main(argv=None) -> int:
     buffer = io.StringIO()
     try:
         code = run(argv, buffer)
-    except SpecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except Inconclusive as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 2

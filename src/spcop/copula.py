@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import NoDensity, SpecError, UnknownMass, WeightError
 from .rng import chunk_sizes, clip_open, open_uniform, resolve_workers, worker_streams
 from .special import normal_cdf, normal_quantile
@@ -23,7 +24,7 @@ __all__ = [
     "OrderStatistics", "Mixture", "Transpose", "SurvivalOf", "CopulaSample",
     "copula_cdf", "rect_measure", "copula_sample", "sample_uv", "singular_mass",
     "transpose", "survival_of", "mix", "validate_copula", "conditional_cdf",
-    "copula_to_json", "copula_from_json",
+    "copula_to_json", "copula_from_json", "COPULA_NODES",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -63,6 +64,10 @@ class CopulaSpec:
     @property
     def absolutely_continuous(self) -> bool:
         return False
+
+    def simplified(self) -> "CopulaSpec":
+        """This node with a transform applied twice in a row removed."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,8 @@ class Mixture(CopulaSpec):
         object.__setattr__(self, "weights", ws)
         if not comps or len(comps) != len(ws):
             raise WeightError("mixture needs matching non-empty components and weights")
+        if not all(math.isfinite(w) for w in ws):
+            raise WeightError(f"mixture weights must be finite, got {ws}")
         if any(w < -1e-12 for w in ws) or abs(sum(ws) - 1.0) > 1e-12:
             raise WeightError(f"mixture weights must form a simplex, got {ws}")
 
@@ -470,8 +477,27 @@ class Mixture(CopulaSpec):
         return all(c.absolutely_continuous for c in self.components)
 
 
+class _Involution:
+    """A transform of self.inner that, applied twice, gives it back. Both
+    transforms keep the singular mass and map (eta, xi) to (1-eta+xi, xi)."""
+
+    def simplified(self):
+        return self.inner.inner if type(self.inner) is type(self) else self
+
+    def singular_mass(self):
+        return self.inner.singular_mass()
+
+    def closed_eta_xi(self):
+        eta, xi = self.inner.closed_eta_xi()
+        return 1.0 - eta + xi, xi
+
+    @property
+    def absolutely_continuous(self):
+        return self.inner.absolutely_continuous
+
+
 @dataclass(frozen=True)
-class Transpose(CopulaSpec):
+class Transpose(_Involution, CopulaSpec):
     inner: CopulaSpec
     node = "transpose"
 
@@ -482,26 +508,15 @@ class Transpose(CopulaSpec):
         u, v, sing, tie = self.inner.sample_arrays(rng, n)
         return v, u, sing, tie
 
-    def singular_mass(self):
-        return self.inner.singular_mass()
-
-    def closed_eta_xi(self):
-        eta, xi = self.inner.closed_eta_xi()
-        return 1.0 - eta + xi, xi
-
     def conditional_cdf(self, u, v):
         return self.inner.conditional_cdf_second(v, u)
 
     def conditional_cdf_second(self, u, v):
         return self.inner.conditional_cdf(v, u)
 
-    @property
-    def absolutely_continuous(self):
-        return self.inner.absolutely_continuous
-
 
 @dataclass(frozen=True)
-class SurvivalOf(CopulaSpec):
+class SurvivalOf(_Involution, CopulaSpec):
     inner: CopulaSpec
     node = "survival"
 
@@ -514,13 +529,6 @@ class SurvivalOf(CopulaSpec):
         u, v, sing, tie = self.inner.sample_arrays(rng, n)
         return clip_open(1.0 - u), clip_open(1.0 - v), sing, tie
 
-    def singular_mass(self):
-        return self.inner.singular_mass()
-
-    def closed_eta_xi(self):
-        eta, xi = self.inner.closed_eta_xi()
-        return 1.0 - eta + xi, xi
-
     def conditional_cdf(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -530,10 +538,6 @@ class SurvivalOf(CopulaSpec):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         return 1.0 - self.inner.conditional_cdf_second(1.0 - u, 1.0 - v)
-
-    @property
-    def absolutely_continuous(self):
-        return self.inner.absolutely_continuous
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +597,11 @@ def singular_mass(spec: CopulaSpec) -> float:
 
 
 def transpose(spec: CopulaSpec) -> CopulaSpec:
-    if isinstance(spec, Transpose):
-        return spec.inner
-    return Transpose(spec)
+    return Transpose(spec).simplified()
 
 
 def survival_of(spec: CopulaSpec) -> CopulaSpec:
-    if isinstance(spec, SurvivalOf):
-        return spec.inner
-    return SurvivalOf(spec)
+    return SurvivalOf(spec).simplified()
 
 
 def mix(specs, weights) -> CopulaSpec:
@@ -663,64 +663,15 @@ def validate_copula(spec: CopulaSpec, grid: int = 64, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 # JSON codec
 
+COPULA_NODES = {cls.node: cls for cls in (
+    Independence, Comonotone, Countermonotone, Shuffle, Gaussian,
+    MarshallOlkinSurvival, MarshallOlkinConnecting, OrderStatistics, Mixture,
+    Transpose, SurvivalOf)}
+
 
 def copula_to_json(spec: CopulaSpec) -> dict:
-    if isinstance(spec, Independence):
-        return {"node": "independence"}
-    if isinstance(spec, Comonotone):
-        return {"node": "comonotone"}
-    if isinstance(spec, Countermonotone):
-        return {"node": "countermonotone"}
-    if isinstance(spec, Shuffle):
-        return {"node": "shuffle", "gamma": spec.gamma}
-    if isinstance(spec, Gaussian):
-        return {"node": "gaussian", "rho": spec.rho}
-    if isinstance(spec, MarshallOlkinSurvival):
-        return {"node": "mo_survival", "alpha1": spec.alpha1, "alpha2": spec.alpha2}
-    if isinstance(spec, MarshallOlkinConnecting):
-        return {"node": "mo_connecting", "alpha1": spec.alpha1, "alpha2": spec.alpha2}
-    if isinstance(spec, OrderStatistics):
-        return {"node": "order_statistics"}
-    if isinstance(spec, Mixture):
-        return {"node": "mixture", "weights": list(spec.weights),
-                "components": [copula_to_json(c) for c in spec.components]}
-    if isinstance(spec, Transpose):
-        return {"node": "transpose", "inner": copula_to_json(spec.inner)}
-    if isinstance(spec, SurvivalOf):
-        return {"node": "survival", "inner": copula_to_json(spec.inner)}
-    raise SpecError(f"cannot encode copula {spec!r}")
+    return encode(spec, "node")
 
 
 def copula_from_json(doc) -> CopulaSpec:
-    if not isinstance(doc, dict) or "node" not in doc:
-        raise SpecError(f"copula document must be an object with a 'node': {doc!r}")
-    node = doc["node"]
-    try:
-        if node == "independence":
-            return Independence()
-        if node == "comonotone":
-            return Comonotone()
-        if node == "countermonotone":
-            return Countermonotone()
-        if node == "shuffle":
-            return Shuffle(float(doc["gamma"]))
-        if node == "gaussian":
-            return Gaussian(float(doc["rho"]))
-        if node == "mo_survival":
-            return MarshallOlkinSurvival(float(doc["alpha1"]), float(doc["alpha2"]))
-        if node == "mo_connecting":
-            return MarshallOlkinConnecting(float(doc["alpha1"]), float(doc["alpha2"]))
-        if node == "order_statistics":
-            return OrderStatistics()
-        if node == "mixture":
-            return mix([copula_from_json(c) for c in doc["components"]],
-                       [float(w) for w in doc["weights"]])
-        if node == "transpose":
-            return transpose(copula_from_json(doc["inner"]))
-        if node == "survival":
-            return survival_of(copula_from_json(doc["inner"]))
-    except (SpecError, WeightError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad {node!r} copula document: {exc}") from exc
-    raise SpecError(f"unknown copula node {node!r}")
+    return decode(COPULA_NODES, "node", doc, "copula", copula_from_json).simplified()

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import SpecError, UnsupportedOrder
 from .special import normal_cdf, normal_pdf, normal_quantile
 
@@ -22,7 +23,7 @@ __all__ = [
     "Distribution", "Uniform", "Exponential", "Normal", "DiscreteAtoms",
     "PiecewiseLinearCdf", "UniformPower", "OrderCheckResult", "check_order",
     "order_holds_at", "pointwise_min_cdf", "is_class_g", "cdf", "quantile",
-    "dist_to_json", "dist_from_json", "quantile_grid",
+    "dist_to_json", "dist_from_json", "quantile_grid", "DIST_KINDS",
 ]
 
 _EPS = 1e-12
@@ -255,6 +256,8 @@ class DiscreteAtoms(Distribution):
         object.__setattr__(self, "points", pts)
         if not pts:
             raise SpecError("atoms need at least one point")
+        if not np.isfinite(pts).all():
+            raise SpecError("atom points and probabilities must be finite")
         xs = np.array([x for x, _ in pts])
         ps = np.array([p for _, p in pts])
         if not np.all(np.diff(xs) > 0):
@@ -306,6 +309,8 @@ class PiecewiseLinearCdf(Distribution):
         object.__setattr__(self, "knots", kn)
         if len(kn) < 2:
             raise SpecError("pwl cdf needs at least two knots")
+        if not np.isfinite(kn).all():
+            raise SpecError("pwl knots must be finite")
         xs = np.array([x for x, _ in kn])
         ps = np.array([p for _, p in kn])
         if (np.diff(xs) < 0).any():
@@ -628,47 +633,13 @@ def pointwise_min_cdf(g: Distribution, h: Distribution, grid: int = 512) -> Dist
 # ---------------------------------------------------------------------------
 # JSON codec
 
-_KIND_TAGS = {
-    "uniform": Uniform, "exponential": Exponential, "normal": Normal,
-    "atoms": DiscreteAtoms, "pwl": PiecewiseLinearCdf, "uniform_power": UniformPower,
-}
+DIST_KINDS = {cls.kind: cls for cls in (
+    Uniform, Exponential, Normal, DiscreteAtoms, PiecewiseLinearCdf, UniformPower)}
 
 
 def dist_to_json(d: Distribution) -> dict:
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "a": d.a, "b": d.b}
-    if isinstance(d, Exponential):
-        return {"kind": "exponential", "rate": d.rate}
-    if isinstance(d, Normal):
-        return {"kind": "normal", "mean": d.mean, "sd": d.sd}
-    if isinstance(d, DiscreteAtoms):
-        return {"kind": "atoms", "points": [[x, p] for x, p in d.points]}
-    if isinstance(d, PiecewiseLinearCdf):
-        return {"kind": "pwl", "knots": [[x, p] for x, p in d.knots]}
-    if isinstance(d, UniformPower):
-        return {"kind": "uniform_power", "k": d.k, "reflected": d.reflected}
-    raise SpecError(f"cannot encode distribution {d!r}")
+    return encode(d, "kind")
 
 
 def dist_from_json(doc) -> Distribution:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SpecError(f"distribution document must be an object with a 'kind': {doc!r}")
-    kind = doc["kind"]
-    try:
-        if kind == "uniform":
-            return Uniform(float(doc["a"]), float(doc["b"]))
-        if kind == "exponential":
-            return Exponential(float(doc["rate"]))
-        if kind == "normal":
-            return Normal(float(doc["mean"]), float(doc["sd"]))
-        if kind == "atoms":
-            return DiscreteAtoms(tuple((float(x), float(p)) for x, p in doc["points"]))
-        if kind == "pwl":
-            return PiecewiseLinearCdf(tuple((float(x), float(p)) for x, p in doc["knots"]))
-        if kind == "uniform_power":
-            return UniformPower(float(doc["k"]), bool(doc.get("reflected", False)))
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad {kind!r} distribution document: {exc}") from exc
-    raise SpecError(f"unknown distribution kind {kind!r}")
+    return decode(DIST_KINDS, "kind", doc, "distribution")

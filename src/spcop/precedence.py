@@ -48,13 +48,6 @@ class PrecedenceReport:
                 self.stderr_eta != 0.0 or self.stderr_xi != 0.0):
             raise SpecError(f"{self.method} reports must have zero stderr")
 
-    def to_json(self) -> dict:
-        return {
-            "eta": self.eta, "xi": self.xi, "method": self.method,
-            "stderr_eta": self.stderr_eta, "stderr_xi": self.stderr_xi,
-            "samples": self.samples, "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class ClassVerdict:
@@ -63,13 +56,6 @@ class ClassVerdict:
     in_B_gamma: bool
     eta_value: float
     tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma, "in_L_gamma": self.in_L_gamma,
-            "in_B_gamma": self.in_B_gamma, "eta_value": self.eta_value,
-            "tolerance": self.tolerance,
-        }
 
 
 @dataclass(frozen=True)
@@ -264,15 +250,16 @@ def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
 
 
 def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
-             n: int = 10 ** 6, seed: int = 0, workers: int = 1) -> SpLevelResult:
+             n: int = 10 ** 6, seed: int = 0, workers: int = 1,
+             tol: float = 1e-9) -> SpLevelResult:
     """Does X1 stochastically precede X2 at level gamma, i.e. eta >= gamma?
 
     Monte Carlo verdicts inside the 3-sigma band of gamma raise Inconclusive
-    instead of guessing.
+    instead of guessing; the exception carries the report.
     """
     if not (0.0 <= gamma <= 1.0):
         raise SpecError(f"gamma must lie in [0,1], got {gamma}")
-    report = best_eta_report(spec, g1, g2, n=n, seed=seed, workers=workers)
+    report = best_eta_report(spec, g1, g2, n=n, seed=seed, tol=tol, workers=workers)
     if report.method == "monte_carlo" and abs(report.eta - gamma) < 3.0 * report.stderr_eta:
         raise Inconclusive(
             f"eta estimate {report.eta:.6f} within 3 stderr of gamma={gamma}", report)

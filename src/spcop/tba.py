@@ -43,7 +43,10 @@ class Prospect:
         if not isinstance(doc, dict) or "name" not in doc or "marginal" not in doc:
             raise SpecError(f"prospect document needs name and marginal: {doc!r}")
         cop = copula_from_json(doc["copula"]) if "copula" in doc else None
-        gb = float(doc["gamma_bound"]) if "gamma_bound" in doc else None
+        try:
+            gb = float(doc["gamma_bound"]) if "gamma_bound" in doc else None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(f"prospect gamma_bound must be a number: {exc}") from exc
         return Prospect(str(doc["name"]), dist_from_json(doc["marginal"]), cop, gb)
 
     def to_json(self) -> dict:
@@ -63,18 +66,11 @@ class RankingRow:
     stderr: float
     flags: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "eta_or_bound": self.eta_or_bound,
-                "kind": self.kind, "stderr": self.stderr, "flags": list(self.flags)}
-
 
 @dataclass(frozen=True)
 class RankingTable:
     rows: tuple[RankingRow, ...]
     warnings: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"rows": [r.to_json() for r in self.rows], "warnings": list(self.warnings)}
 
     def to_csv_rows(self) -> list[list[str]]:
         head = ["name", "eta_or_bound", "kind", "stderr", "flags"]

@@ -192,3 +192,72 @@ class TestDeterminism:
         monkeypatch.setenv("SP_COPULA_THREADS", "2")
         code, out = invoke(["eta", "--spec", spec, "--workers", "8"])
         assert json.loads(out)["workers"] == 2
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command,text", [
+        ("eta", '{"copula": {"node": "shuffle", "gamma": 1%s}}' % ("0" * 400)),
+        ("eta", json.dumps({"copula": {"node": "independence"},
+                            "g1": {"kind": "uniform_power", "k": 2, "reflected": "false"},
+                            "g2": {"kind": "uniform", "a": 0, "b": 1}})),
+        ("eta", '{"copula": {"node": "gaussian", "rho": 0.5}, '
+                '"g1": {"kind": "atoms", "points": [[0, 0.5], [Infinity, 0.5]]}, '
+                '"g2": {"kind": "atoms", "points": [[0.5, 0.5], [1.5, 0.5]]}}'),
+        ("eta", "5"),
+        ("eta", "\xff\xfe{}"),
+        ("eta", "[" * 100000 + "]" * 100000),
+        ("order", '{"g1": {"kind": "pwl", "knots": [[0, 0], [NaN, 0.5], [2, 1]]}, '
+                  '"g2": {"kind": "exponential", "rate": 1}}'),
+        ("curve", json.dumps({"family": "shuffle", "start": 0.1, "stop": 0.9, "step": 0})),
+        ("curve", '{"family": "shuffle", "start": NaN, "stop": 0.9, "step": 0.1}'),
+        ("curve", json.dumps({"family": "shuffle", "start": "abc", "stop": 0.9, "step": 0.1})),
+        ("curve", json.dumps({"family": "shuffle", "values": 3})),
+        ("curve", json.dumps({"family": "shuffle", "values": ["abc"]})),
+        ("curve", json.dumps({"family": "gaussian", "start": -0.5, "stop": 0.5, "step": -0.1})),
+        ("curve", json.dumps({"family": "mo_survival", "values": [0.5]})),
+        ("rank", json.dumps({"target": {"kind": "normal", "mean": 0, "sd": 1}, "prospects": 5})),
+        ("rank", json.dumps({"target": {"kind": "normal", "mean": 0, "sd": 1}, "prospects": [
+            {"name": "A", "marginal": {"kind": "normal", "mean": 0, "sd": 1},
+             "gamma_bound": "x"}]})),
+    ], ids=["gamma-overflow", "reflected-string", "atoms-inf",
+            "not-an-object", "not-utf8", "deep-nesting", "pwl-nan-knot", "curve-step-zero", "curve-start-nan",
+            "curve-start-text", "curve-values-number", "curve-values-text",
+            "curve-step-away", "curve-two-parameter-family", "rank-prospects-number",
+            "rank-gamma-bound-text"])
+    def test_exit_1_with_error_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("latin-1"))  # "\xff" stays one byte, invalid UTF-8
+        assert main([command, "--spec", str(path), "--samples", "20000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_curve_descending_range(self, tmp_path):
+        spec = write_doc(tmp_path, "c.json", {
+            "family": "shuffle", "start": 0.9, "stop": 0.1, "step": -0.2})
+        code, out = invoke(["curve", "--spec", spec, "--output", "csv"])
+        body = [l for l in out.splitlines() if not l.startswith("#")]
+        assert [l.split(",")[0] for l in body] == ["gamma", "0.9", "0.7", "0.5", "0.3", "0.1"]
+
+
+def test_eta_gamma_samples_once(tmp_path, monkeypatch):
+    import spcop.precedence as precedence
+
+    calls = []
+    real = precedence.eta_mc
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(precedence, "eta_mc", counting)
+    spec = write_doc(tmp_path, "s.json", {
+        "copula": {"node": "mo_survival", "alpha1": 0.4, "alpha2": 0.2},
+        "g1": {"kind": "uniform", "a": 0, "b": 1},
+        "g2": {"kind": "exponential", "rate": 1.0}})
+    code, out = invoke(["eta", "--spec", spec, "--samples", "20000", "--seed", "9",
+                        "--gamma", "0.2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["method"] == "monte_carlo" and result["sp_level"]["holds"] is True
+    assert len(calls) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
+from spcop.copula import (COPULA_NODES, Comonotone, CopulaSpec, Countermonotone, Gaussian,
                           Independence, MarshallOlkinConnecting,
                           MarshallOlkinSurvival, Mixture, OrderStatistics,
                           Shuffle, SurvivalOf, Transpose, copula_cdf,
@@ -124,6 +124,9 @@ class TestTransforms:
             mix([Independence(), Comonotone()], [0.6, 0.6])
         with pytest.raises(WeightError):
             mix([Independence()], [0.5, 0.5])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(WeightError):
+                mix([Independence(), Comonotone()], [bad, 1.0])
 
 
 class TestSampling:
@@ -273,14 +276,25 @@ class TestFrechetBounds:
         assert np.all(c <= np.minimum(u, v) + 1e-9)
 
 
+JSON_EXAMPLES = {s.node: s for s in REGISTRY + [
+    mix([Independence(), Shuffle(0.25)], [0.5, 0.5]),
+    Transpose(Gaussian(0.1)),
+    SurvivalOf(MarshallOlkinConnecting(0.2, 0.9)),
+]}
+
+
 class TestJson:
-    @pytest.mark.parametrize("spec", REGISTRY + [
-        mix([Independence(), Shuffle(0.25)], [0.5, 0.5]),
-        Transpose(Gaussian(0.1)),
-        SurvivalOf(MarshallOlkinConnecting(0.2, 0.9)),
-    ], ids=lambda s: s.node)
-    def test_roundtrip(self, spec):
+    @pytest.mark.parametrize("node", sorted(COPULA_NODES))
+    def test_roundtrip(self, node):
+        spec = JSON_EXAMPLES[node]  # a new registry node needs an example here
         assert copula_from_json(copula_to_json(spec)) == spec
+
+    def test_subclass_does_not_take_over_a_node(self):
+        class Local(Shuffle):  # inherits node = "shuffle"
+            pass
+
+        assert type(copula_from_json({"node": "shuffle", "gamma": 0.3})) is Shuffle
+        assert COPULA_NODES["shuffle"] is Shuffle
 
     def test_nested_simplification(self):
         doc = {"node": "transpose", "inner": {"node": "transpose",
@@ -294,6 +308,16 @@ class TestJson:
             copula_from_json({"gamma": 0.3})
         with pytest.raises(SpecError):
             copula_from_json({"node": "shuffle"})
+        with pytest.raises(SpecError):  # too large for a float
+            copula_from_json({"node": "shuffle", "gamma": 10 ** 400})
+        deep = {"node": "independence"}
+        for _ in range(5000):
+            deep = {"node": "transpose", "inner": deep}
+        with pytest.raises(SpecError):
+            copula_from_json(deep)
+        with pytest.raises(SpecError):
+            copula_from_json({"node": "mixture", "weights": "1",
+                              "components": [{"node": "independence"}]})
         with pytest.raises(WeightError):
             copula_from_json({"node": "mixture", "weights": [0.9, 0.9],
                               "components": [{"node": "independence"},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spcop.dist import (DiscreteAtoms, Exponential, Normal,
+from spcop.dist import (DIST_KINDS, DiscreteAtoms, Exponential, Normal,
                         PiecewiseLinearCdf, Uniform, UniformPower,
                         check_order, dist_from_json, dist_to_json,
                         order_holds_at, pointwise_min_cdf, quantile_grid)
@@ -14,6 +14,11 @@ from spcop.errors import SpecError, UnsupportedOrder
 CLASS_G_SAMPLES = [
     Uniform(0.0, 1.0), Uniform(-2.0, 3.0), Exponential(1.0), Exponential(2.5),
     Normal(0.0, 1.0), Normal(1.0, 0.5), UniformPower(2.0), UniformPower(3.0, reflected=True),
+]
+
+JSON_EXAMPLES = CLASS_G_SAMPLES + [
+    DiscreteAtoms(((0.0, 0.5), (1.0, 0.5))),
+    PiecewiseLinearCdf(((0, 0), (1, 0.5), (2, 1))),
 ]
 
 
@@ -244,21 +249,22 @@ class TestValidationAndJson:
             DiscreteAtoms(((0.0, 0.5), (0.0, 0.5)))
         with pytest.raises(SpecError):
             DiscreteAtoms(((0.0, 0.6), (1.0, 0.6)))
+        with pytest.raises(SpecError):
+            DiscreteAtoms(((0.0, 0.5), (float("inf"), 0.5)))
 
     def test_pwl_validation(self):
         with pytest.raises(SpecError):
             PiecewiseLinearCdf(((0, 0.1), (1, 1)))
         with pytest.raises(SpecError):
             PiecewiseLinearCdf(((0, 0), (1, 0.9)))
+        with pytest.raises(SpecError):
+            PiecewiseLinearCdf(((0, 0), (float("nan"), 0.5), (2, 1)))
 
     def test_uniform_validation(self):
         with pytest.raises(SpecError):
             Uniform(1.0, 1.0)
 
-    @pytest.mark.parametrize("d", CLASS_G_SAMPLES + [
-        DiscreteAtoms(((0.0, 0.5), (1.0, 0.5))),
-        PiecewiseLinearCdf(((0, 0), (1, 0.5), (2, 1))),
-    ], ids=lambda d: repr(d))
+    @pytest.mark.parametrize("d", JSON_EXAMPLES, ids=lambda d: repr(d))
     def test_json_roundtrip(self, d):
         assert dist_from_json(dist_to_json(d)) == d
 
@@ -269,3 +275,13 @@ class TestValidationAndJson:
             dist_from_json({"mean": 0})
         with pytest.raises(SpecError):
             dist_from_json({"kind": "normal", "mean": 0})
+        with pytest.raises(SpecError):  # reflected must be a JSON boolean
+            dist_from_json({"kind": "uniform_power", "k": 2, "reflected": "false"})
+        with pytest.raises(SpecError):
+            dist_from_json({"kind": "atoms", "points": [[0, 0.5, 1], [1, 0.5]]})
+
+    def test_reflected_defaults_to_false(self):
+        assert dist_from_json({"kind": "uniform_power", "k": 2}) == UniformPower(2.0)
+
+    def test_every_kind_has_a_roundtrip_example(self):
+        assert {d.kind for d in JSON_EXAMPLES} == set(DIST_KINDS)
