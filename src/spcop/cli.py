@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .codec import sole_float_field
+from .codec import number, sole_float_field
 from .copula import COPULA_NODES, copula_from_json, copula_sample
 from .dist import check_order, dist_from_json
 from .errors import Inconclusive, SpcopError, SpecError
@@ -29,6 +29,8 @@ from .rng import resolve_workers
 from .tba import Prospect, rank_prospects
 
 __all__ = ["main", "run"]
+
+CURVE_VALUE_BUDGET = 10_000
 
 
 def _fmt(x) -> str:
@@ -193,14 +195,19 @@ def _cmd_curve(args, doc, stream):
     else:
         bounds = [_need(doc, k) for k in ("start", "stop", "step")]
         try:
-            start, stop, step = map(float, bounds)
+            start, stop, step = map(number, bounds)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"start, stop and step must be numbers, got {bounds!r}") from exc
         span = (stop - start) / step if step else math.nan
         if not (math.isfinite(span) and span >= 0.0):
             raise SpecError("need finite start and stop and a nonzero step toward stop, "
                             f"got start={start}, stop={stop}, step={step}")
-        values = [round(start + i * step, 12) + 0.0 for i in range(int(round(span)) + 1)]
+        # floor keeps the last value at or before stop; 1e-9 absorbs division noise
+        count = math.floor(span + 1e-9) + 1
+        if count > CURVE_VALUE_BUDGET:
+            raise SpecError(f"a curve range holds at most {CURVE_VALUE_BUDGET} values, "
+                            f"got {count}")
+        values = [round(start + i * step, 12) + 0.0 for i in range(count)]
     specs = [copula_from_json({"node": family, param: x}) for x in values]
     rows = [[param, "eta", "xi", "method"]]
     for spec in specs:

@@ -2,8 +2,8 @@
 
 A spec class is a frozen dataclass with a class-level tag (``node`` for
 copulas, ``kind`` for marginals). Its JSON object is the tag plus one entry
-per dataclass field, and each field is read back by its annotation: a float,
-a JSON boolean, a tuple (an array), or else a nested spec. Range and
+per dataclass field, and each field is read back by its annotation: a JSON
+number, a JSON boolean, a tuple (an array), or else a nested spec. Range and
 finiteness checks belong to the constructors, not to the codec.
 """
 
@@ -13,7 +13,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .errors import SpecError
 
-__all__ = ["encode", "decode", "sole_float_field"]
+__all__ = ["encode", "decode", "number", "sole_float_field"]
 
 
 @cache
@@ -37,9 +37,17 @@ def _plain(x, key):
     return x
 
 
+def number(x) -> float:
+    """A JSON number as a float. Strings, booleans and null raise TypeError;
+    an integer too large for a float raises OverflowError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def _read(tp, x, nested):
     if tp is float:
-        return float(x)
+        return number(x)
     if tp is bool:
         if not isinstance(x, bool):
             raise TypeError(f"expected true or false, got {x!r}")

@@ -2,8 +2,9 @@
 
 Specs are immutable node trees. Each node knows its cdf, a component-tagged
 sampler, its singular mass, the closed-form pair (eta, xi) = (measure of
-{u<=v}, measure of the diagonal), and, for absolutely continuous families,
-the conditional cdfs d1C and d2C used by quadrature.
+{u<=v}, measure of the diagonal) and its value for any marginals the family
+knows, and, for absolutely continuous families, the conditional cdfs d1C and
+d2C used by quadrature.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode, encode
+from .dist import Exponential, Normal, UniformPower
 from .errors import NoDensity, SpecError, UnknownMass, WeightError
 from .rng import chunk_sizes, clip_open, open_uniform, resolve_workers, worker_streams
 from .special import normal_cdf, normal_quantile
@@ -23,7 +25,7 @@ __all__ = [
     "Gaussian", "MarshallOlkinSurvival", "MarshallOlkinConnecting",
     "OrderStatistics", "Mixture", "Transpose", "SurvivalOf", "CopulaSample",
     "copula_cdf", "rect_measure", "copula_sample", "sample_uv", "singular_mass",
-    "transpose", "survival_of", "mix", "validate_copula", "conditional_cdf",
+    "transpose", "survival_of", "mix", "validate_copula",
     "copula_to_json", "copula_from_json", "COPULA_NODES",
 ]
 
@@ -52,6 +54,11 @@ class CopulaSpec:
     def closed_eta_xi(self):
         """(C-measure of {u<=v}, C-measure of the diagonal), closed form."""
         raise UnknownMass(self.node)
+
+    def closed_eta_xi_with(self, g1, g2):
+        """(P(X1 <= X2), P(X1 = X2)) for X1 ~ g1, X2 ~ g2 joined by this
+        copula, closed form; only families that know these marginals have one."""
+        raise UnknownMass(f"{self.node} with {g1.kind}/{g2.kind} marginals")
 
     def conditional_cdf(self, u, v):
         """d/du C(u,v); defined only for absolutely continuous families."""
@@ -254,6 +261,14 @@ class Gaussian(CopulaSpec):
     def closed_eta_xi(self):
         return 0.5, 0.0
 
+    def closed_eta_xi_with(self, g1, g2):
+        if isinstance(g1, Normal) and isinstance(g2, Normal):  # X2 - X1 is normal
+            denom = math.sqrt(g1.sd ** 2 + g2.sd ** 2 - 2.0 * self.rho * g1.sd * g2.sd)
+            if denom > 0.0:
+                z = (g2.mean - g1.mean) / denom
+                return 0.5 * math.erfc(-z / math.sqrt(2.0)), 0.0
+        return super().closed_eta_xi_with(g1, g2)
+
     def conditional_cdf(self, u, v):
         u = np.clip(np.asarray(u, dtype=float), _UV_CLAMP, 1.0 - _UV_CLAMP)
         v = np.asarray(v, dtype=float)
@@ -273,21 +288,6 @@ class Gaussian(CopulaSpec):
 def _mo_validate(alpha1, alpha2):
     if not (0.0 < alpha1 < 1.0 and 0.0 < alpha2 < 1.0):
         raise SpecError(f"Marshall-Olkin alphas must lie in (0,1), got ({alpha1}, {alpha2})")
-
-
-def _mo_singular_mass(a1, a2):
-    return a1 * a2 / (a1 + a2 - a1 * a2)
-
-
-def _mo_survival_eta_xi(a1, a2):
-    # measured at alpha1=alpha2: continuous from the alpha1<=alpha2 branch,
-    # where the singular curve u^a1=v^a2 sits on/above the diagonal
-    xi = _mo_singular_mass(a1, a2) if a1 == a2 else 0.0
-    if a1 <= a2:
-        eta = 1.0 / (2.0 - a1)
-    else:
-        eta = (1.0 - a2) / (2.0 - a2)
-    return eta, xi
 
 
 def _mo_construction(rng, n, a1, a2):
@@ -323,42 +323,16 @@ class MarshallOlkinSurvival(CopulaSpec):
         return u, v, tie.copy(), tie
 
     def singular_mass(self):
-        return _mo_singular_mass(self.alpha1, self.alpha2)
+        a1, a2 = self.alpha1, self.alpha2
+        return a1 * a2 / (a1 + a2 - a1 * a2)
 
     def closed_eta_xi(self):
-        return _mo_survival_eta_xi(self.alpha1, self.alpha2)
-
-
-@dataclass(frozen=True)
-class MarshallOlkinConnecting(CopulaSpec):
-    """Connecting copula of the common-shock minima; survival transform of
-    the mo_survival node."""
-
-    alpha1: float
-    alpha2: float
-    node = "mo_connecting"
-
-    def __post_init__(self):
-        _mo_validate(self.alpha1, self.alpha2)
-
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        inner = MarshallOlkinSurvival(self.alpha1, self.alpha2)
-        return u + v - 1.0 + inner.cdf(1.0 - u, 1.0 - v)
-
-    def sample_arrays(self, rng, n):
-        x1, x2, tie = _mo_construction(rng, n, self.alpha1, self.alpha2)
-        u = clip_open(-np.expm1(-x1 / self.alpha1))
-        v = clip_open(-np.expm1(-x2 / self.alpha2))
-        return u, v, tie.copy(), tie
-
-    def singular_mass(self):
-        return _mo_singular_mass(self.alpha1, self.alpha2)
-
-    def closed_eta_xi(self):
-        eta_s, xi_s = _mo_survival_eta_xi(self.alpha1, self.alpha2)
-        return 1.0 - eta_s + xi_s, xi_s
+        # measured at alpha1=alpha2: continuous from the alpha1<=alpha2 branch,
+        # where the singular curve u^a1=v^a2 sits on/above the diagonal
+        a1, a2 = self.alpha1, self.alpha2
+        xi = self.singular_mass() if a1 == a2 else 0.0
+        eta = 1.0 / (2.0 - a1) if a1 <= a2 else (1.0 - a2) / (2.0 - a2)
+        return eta, xi
 
 
 @dataclass(frozen=True)
@@ -395,6 +369,12 @@ class OrderStatistics(CopulaSpec):
 
     def closed_eta_xi(self):
         return 2.0 - math.pi / 2.0, 0.0
+
+    def closed_eta_xi_with(self, g1, g2):
+        # its own marginals, the laws of the min and the max: min <= max
+        if (g1, g2) == (UniformPower(2.0, reflected=True), UniformPower(2.0)):
+            return 1.0, 0.0
+        return super().closed_eta_xi_with(g1, g2)
 
     def conditional_cdf(self, u, v):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - 1e-15)
@@ -436,8 +416,15 @@ class Mixture(CopulaSpec):
         if any(w < -1e-12 for w in ws) or abs(sum(ws) - 1.0) > 1e-12:
             raise WeightError(f"mixture weights must form a simplex, got {ws}")
 
+    def _weighted(self, values):
+        return sum(w * x for w, x in zip(self.weights, values))
+
+    def _weighted_eta_xi(self, pairs):
+        etas, xis = zip(*pairs)
+        return self._weighted(etas), self._weighted(xis)
+
     def cdf(self, u, v):
-        return sum(w * c.cdf(u, v) for c, w in zip(self.components, self.weights))
+        return self._weighted(c.cdf(u, v) for c in self.components)
 
     def sample_arrays(self, rng, n):
         cum = np.cumsum(self.weights)
@@ -458,23 +445,28 @@ class Mixture(CopulaSpec):
         return u, v, sing, tie
 
     def singular_mass(self):
-        return sum(w * c.singular_mass() for c, w in zip(self.components, self.weights))
+        return self._weighted(c.singular_mass() for c in self.components)
 
     def closed_eta_xi(self):
-        etas, xis = zip(*(c.closed_eta_xi() for c in self.components))
-        eta = sum(w * e for w, e in zip(self.weights, etas))
-        xi = sum(w * x for w, x in zip(self.weights, xis))
-        return eta, xi
+        return self._weighted_eta_xi(c.closed_eta_xi() for c in self.components)
+
+    def closed_eta_xi_with(self, g1, g2):
+        return self._weighted_eta_xi(c.closed_eta_xi_with(g1, g2) for c in self.components)
 
     def conditional_cdf(self, u, v):
-        return sum(w * c.conditional_cdf(u, v) for c, w in zip(self.components, self.weights))
+        return self._weighted(c.conditional_cdf(u, v) for c in self.components)
 
     def conditional_cdf_second(self, u, v):
-        return sum(w * c.conditional_cdf_second(u, v) for c, w in zip(self.components, self.weights))
+        return self._weighted(c.conditional_cdf_second(u, v) for c in self.components)
 
     @property
     def absolutely_continuous(self):
         return all(c.absolutely_continuous for c in self.components)
+
+
+def _flipped(eta, xi):
+    """(eta, xi) of the transpose: the measure of {u>=v}, and the same ties."""
+    return 1.0 - eta + xi, xi
 
 
 class _Involution:
@@ -488,8 +480,7 @@ class _Involution:
         return self.inner.singular_mass()
 
     def closed_eta_xi(self):
-        eta, xi = self.inner.closed_eta_xi()
-        return 1.0 - eta + xi, xi
+        return _flipped(*self.inner.closed_eta_xi())
 
     @property
     def absolutely_continuous(self):
@@ -507,6 +498,9 @@ class Transpose(_Involution, CopulaSpec):
     def sample_arrays(self, rng, n):
         u, v, sing, tie = self.inner.sample_arrays(rng, n)
         return v, u, sing, tie
+
+    def closed_eta_xi_with(self, g1, g2):
+        return _flipped(*self.inner.closed_eta_xi_with(g2, g1))
 
     def conditional_cdf(self, u, v):
         return self.inner.conditional_cdf_second(v, u)
@@ -538,6 +532,40 @@ class SurvivalOf(_Involution, CopulaSpec):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         return 1.0 - self.inner.conditional_cdf_second(1.0 - u, 1.0 - v)
+
+
+@dataclass(frozen=True)
+class MarshallOlkinConnecting(_Involution, CopulaSpec):
+    """Connecting copula of the common-shock minima: the survival transform
+    of the mo_survival node, sampled straight from the shocks."""
+
+    alpha1: float
+    alpha2: float
+    node = "mo_connecting"
+    cdf = SurvivalOf.cdf
+
+    def __post_init__(self):
+        _mo_validate(self.alpha1, self.alpha2)
+
+    @property
+    def inner(self):
+        return MarshallOlkinSurvival(self.alpha1, self.alpha2)
+
+    def sample_arrays(self, rng, n):
+        x1, x2, tie = _mo_construction(rng, n, self.alpha1, self.alpha2)
+        u = clip_open(-np.expm1(-x1 / self.alpha1))
+        v = clip_open(-np.expm1(-x2 / self.alpha2))
+        return u, v, tie.copy(), tie
+
+    def closed_eta_xi_with(self, g1, g2):
+        # its own marginals: X_i = min(shock_i, common shock) ~ Exp(1/alpha_i)
+        if not (isinstance(g1, Exponential) and isinstance(g2, Exponential)
+                and math.isclose(g1.rate, 1.0 / self.alpha1, rel_tol=1e-12)
+                and math.isclose(g2.rate, 1.0 / self.alpha2, rel_tol=1e-12)):
+            return super().closed_eta_xi_with(g1, g2)
+        a1, a2 = self.alpha1, self.alpha2
+        den = a1 + a2 - a1 * a2
+        return a2 / den, a1 * a2 / den
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +634,6 @@ def survival_of(spec: CopulaSpec) -> CopulaSpec:
 
 def mix(specs, weights) -> CopulaSpec:
     return Mixture(tuple(specs), tuple(weights))
-
-
-def conditional_cdf(spec: CopulaSpec, u, v):
-    return spec.conditional_cdf(u, v)
 
 
 def validate_copula(spec: CopulaSpec, grid: int = 64, tol: float = 1e-9,

@@ -65,7 +65,7 @@ class Distribution:
 
     @property
     def has_density(self) -> bool:
-        return False
+        return type(self).density is not Distribution.density
 
     @property
     def is_class_g(self) -> bool:
@@ -111,10 +111,6 @@ class Uniform(Distribution):
         return _maybe_scalar(np.where(inside, 1.0 / (self.b - self.a), 0.0), scalar)
 
     @property
-    def has_density(self):
-        return True
-
-    @property
     def is_class_g(self):
         return True
 
@@ -150,10 +146,6 @@ class Exponential(Distribution):
         return np.array([0.0])
 
     @property
-    def has_density(self):
-        return True
-
-    @property
     def is_class_g(self):
         return True
 
@@ -183,10 +175,6 @@ class Normal(Distribution):
     def density(self, x):
         a, scalar = _as_array(x)
         return _maybe_scalar(normal_pdf(a, self.mean, self.sd), scalar)
-
-    @property
-    def has_density(self):
-        return True
 
     @property
     def is_class_g(self):
@@ -236,10 +224,6 @@ class UniformPower(Distribution):
 
     def discontinuities(self):
         return np.array([0.0, 1.0])
-
-    @property
-    def has_density(self):
-        return True
 
     @property
     def is_class_g(self):
@@ -411,9 +395,6 @@ class OrderCheckResult:
     grid_size: int
 
 
-_DENSITY_KINDS = (Uniform, Exponential, Normal, UniformPower)
-
-
 def quantile_grid(dists, m):
     """m quantile-spaced points of the equal-weight mixture of `dists`,
     plus every atom/knot (and its left limit)."""
@@ -539,7 +520,7 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
         raise SpecError("order-check grid must be at least 64")
 
     if relation in ("hr", "lr"):
-        if not (isinstance(g1, _DENSITY_KINDS) and isinstance(g2, _DENSITY_KINDS)):
+        if not (g1.has_density and g2.has_density):
             raise UnsupportedOrder(f"{relation} ordering needs closed-form densities")
         analytic = _same_family_st(g1, g2)  # same criterion for exp/normal/uniform
         if analytic is not None and type(g1) is type(g2):

@@ -11,10 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .copula import (CopulaSpec, Gaussian, MarshallOlkinConnecting, Mixture,
-                     OrderStatistics, Transpose, sample_uv)
-from .dist import (DiscreteAtoms, Distribution, Exponential, Normal,
-                   UniformPower, check_order)
+from .copula import CopulaSpec, sample_uv
+from .dist import DiscreteAtoms, Distribution, check_order
 from .errors import Inconclusive, NoDensity, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
 
@@ -64,78 +62,26 @@ class SpLevelResult:
     report: PrecedenceReport
 
 
-def _exact_report(eta, xi, seed=None) -> PrecedenceReport:
-    return PrecedenceReport(float(eta), float(xi), "closed_form", 0.0, 0.0, 0, seed)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def _rates_match(rate: float, alpha: float) -> bool:
-    return math.isclose(rate, 1.0 / alpha, rel_tol=1e-12, abs_tol=0.0)
-
-
 def eta_exact(spec: CopulaSpec, g1: Optional[Distribution] = None,
               g2: Optional[Distribution] = None):
-    """Closed-form (eta, xi) from the registry, or None when no entry applies.
+    """Closed-form (eta, xi), or None when the spec has none for these marginals.
 
-    Without marginals this is the pure copula quantity. With marginals the
-    registry covers: equal invertible marginals (marginal invariance), the
-    Gaussian copula with normal marginals, the Marshall-Olkin connecting
-    copula with its own exponential marginals, the order-statistics copula
-    with its own min/max marginals, plus mixtures and transposes thereof.
+    Without marginals, or with equal invertible ones (marginal invariance),
+    this is the copula's own pair; otherwise the copula's closed form for
+    the given marginals, if its family has one.
     """
     if (g1 is None) != (g2 is None):
         raise SpecError("pass both marginals or neither")
-    if g1 is None:
-        try:
+    try:
+        if g1 is None or (g1 == g2 and g1.is_class_g):
             return spec.closed_eta_xi()
-        except UnknownMass:
-            return None
-
-    if g1 == g2 and g1.is_class_g:
-        try:
-            return spec.closed_eta_xi()
-        except UnknownMass:
-            return None
-
-    if isinstance(spec, Gaussian) and isinstance(g1, Normal) and isinstance(g2, Normal):
-        denom = math.sqrt(g1.sd ** 2 + g2.sd ** 2 - 2.0 * spec.rho * g1.sd * g2.sd)
-        if denom == 0.0:
-            return None
-        z = (g2.mean - g1.mean) / denom
-        return 0.5 * math.erfc(-z / math.sqrt(2.0)), 0.0
-
-    if (isinstance(spec, MarshallOlkinConnecting)
-            and isinstance(g1, Exponential) and isinstance(g2, Exponential)
-            and _rates_match(g1.rate, spec.alpha1) and _rates_match(g2.rate, spec.alpha2)):
-        a1, a2 = spec.alpha1, spec.alpha2
-        den = a1 + a2 - a1 * a2
-        return a2 / den, a1 * a2 / den
-
-    if (isinstance(spec, OrderStatistics)
-            and isinstance(g1, UniformPower) and isinstance(g2, UniformPower)
-            and g1.reflected and not g2.reflected and g1.k == 2.0 and g2.k == 2.0):
-        # min <= max by construction, whatever the base law
-        return 1.0, 0.0
-
-    if isinstance(spec, Mixture):
-        parts = [eta_exact(c, g1, g2) for c in spec.components]
-        if any(p is None for p in parts):
-            return None
-        eta = sum(w * p[0] for w, p in zip(spec.weights, parts))
-        xi = sum(w * p[1] for w, p in zip(spec.weights, parts))
-        return eta, xi
-
-    if isinstance(spec, Transpose):
-        swapped = eta_exact(spec.inner, g2, g1)
-        if swapped is None:
-            return None
-        eta, xi = swapped
-        return 1.0 - eta + xi, xi
-
-    return None
+        return spec.closed_eta_xi_with(g1, g2)
+    except UnknownMass:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +179,8 @@ def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
     """Method selection: closed_form > discrete_exact > quadrature > monte_carlo."""
     closed = eta_exact(spec, g1, g2)
     if closed is not None:
-        return _exact_report(*closed, seed=None)
+        eta, xi = closed
+        return PrecedenceReport(float(eta), float(xi), "closed_form", 0.0, 0.0, 0, None)
     if g1 is None:
         raise UnknownMass("no closed form for this copula")  # unreachable for built-ins
     if isinstance(g1, DiscreteAtoms) and isinstance(g2, DiscreteAtoms):
@@ -242,10 +189,7 @@ def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
         except SizeLimit:
             pass
     if spec.absolutely_continuous and g1.is_class_g and g2.is_class_g:
-        try:
-            return eta_quadrature(spec, g1, g2, max(tol, 1e-10))
-        except (NoDensity, SpecError):
-            pass
+        return eta_quadrature(spec, g1, g2, max(tol, 1e-10))
     return eta_mc(spec, g1, g2, n, seed, workers)
 
 

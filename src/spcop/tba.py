@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+from .codec import number
 from .copula import CopulaSpec, copula_from_json, copula_to_json
 from .dist import Distribution, check_order, dist_from_json, dist_to_json
 from .errors import SpecError
@@ -44,7 +45,7 @@ class Prospect:
             raise SpecError(f"prospect document needs name and marginal: {doc!r}")
         cop = copula_from_json(doc["copula"]) if "copula" in doc else None
         try:
-            gb = float(doc["gamma_bound"]) if "gamma_bound" in doc else None
+            gb = number(doc["gamma_bound"]) if "gamma_bound" in doc else None
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"prospect gamma_bound must be a number: {exc}") from exc
         return Prospect(str(doc["name"]), dist_from_json(doc["marginal"]), cop, gb)

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spcop.cli import main, run
+from spcop.cli import CURVE_VALUE_BUDGET, main, run
 
 
 def write_doc(tmp_path, name, obj):
@@ -219,11 +223,20 @@ class TestMalformedInputs:
         ("rank", json.dumps({"target": {"kind": "normal", "mean": 0, "sd": 1}, "prospects": [
             {"name": "A", "marginal": {"kind": "normal", "mean": 0, "sd": 1},
              "gamma_bound": "x"}]})),
+        ("eta", json.dumps({"copula": {"node": "shuffle", "gamma": "0.3"}})),
+        ("eta", json.dumps({"copula": {"node": "shuffle", "gamma": True}})),
+        ("rank", json.dumps({"target": {"kind": "normal", "mean": 0, "sd": 1}, "prospects": [
+            {"name": "A", "marginal": {"kind": "normal", "mean": 1, "sd": 1},
+             "gamma_bound": "0.4"}]})),
+        ("curve", json.dumps({"family": "shuffle", "start": "0.1", "stop": 0.9, "step": 0.1})),
+        ("curve", json.dumps({"family": "shuffle", "start": 0.1, "stop": True, "step": 0.1})),
+        ("curve", json.dumps({"family": "shuffle", "start": 0.0001, "stop": 1, "step": 1e-9})),
     ], ids=["gamma-overflow", "reflected-string", "atoms-inf",
             "not-an-object", "not-utf8", "deep-nesting", "pwl-nan-knot", "curve-step-zero", "curve-start-nan",
             "curve-start-text", "curve-values-number", "curve-values-text",
             "curve-step-away", "curve-two-parameter-family", "rank-prospects-number",
-            "rank-gamma-bound-text"])
+            "rank-gamma-bound-text", "gamma-string", "gamma-boolean", "rank-gamma-bound-string",
+            "curve-start-string", "curve-stop-boolean", "curve-too-many-values"])
     def test_exit_1_with_error_line(self, tmp_path, capsys, command, text):
         path = tmp_path / "bad.json"
         path.write_bytes(text.encode("latin-1"))  # "\xff" stays one byte, invalid UTF-8
@@ -238,6 +251,31 @@ class TestMalformedInputs:
         code, out = invoke(["curve", "--spec", spec, "--output", "csv"])
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert [l.split(",")[0] for l in body] == ["gamma", "0.9", "0.7", "0.5", "0.3", "0.1"]
+
+    def test_curve_range_stops_at_stop(self, tmp_path):
+        spec = write_doc(tmp_path, "c.json", {
+            "family": "shuffle", "start": 0.0001, "stop": 1, "step": 1e-3})
+        code, out = invoke(["curve", "--spec", spec, "--output", "csv"])
+        body = [l for l in out.splitlines() if not l.startswith("#")]
+        gammas = [float(l.split(",")[0]) for l in body[1:]]
+        assert code == 0 and len(gammas) == 1000 and gammas[-1] == 0.9991
+
+    def test_curve_range_of_the_largest_length(self, tmp_path):
+        spec = write_doc(tmp_path, "c.json", {
+            "family": "shuffle", "start": 0.0001, "stop": 1, "step": 1e-4})
+        code, out = invoke(["curve", "--spec", spec, "--output", "csv"])
+        body = [l for l in out.splitlines() if not l.startswith("#")]
+        assert code == 0 and len(body) == 1 + CURVE_VALUE_BUDGET
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test extra; importing it would double the start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import spcop.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_eta_gamma_samples_once(tmp_path, monkeypatch):

@@ -310,6 +310,13 @@ class TestJson:
             copula_from_json({"node": "shuffle"})
         with pytest.raises(SpecError):  # too large for a float
             copula_from_json({"node": "shuffle", "gamma": 10 ** 400})
+        for not_a_number in ("0.3", True, None):
+            with pytest.raises(SpecError):
+                copula_from_json({"node": "shuffle", "gamma": not_a_number})
+        with pytest.raises(SpecError):
+            copula_from_json({"node": "mixture", "weights": [True, False],
+                              "components": [{"node": "independence"},
+                                             {"node": "comonotone"}]})
         deep = {"node": "independence"}
         for _ in range(5000):
             deep = {"node": "transpose", "inner": deep}

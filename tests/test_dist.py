@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spcop.dist import (DIST_KINDS, DiscreteAtoms, Exponential, Normal,
+from spcop.dist import (DIST_KINDS, DiscreteAtoms, Distribution, Exponential, Normal,
                         PiecewiseLinearCdf, Uniform, UniformPower,
                         check_order, dist_from_json, dist_to_json,
                         order_holds_at, pointwise_min_cdf, quantile_grid)
@@ -128,6 +128,25 @@ class TestCheckOrder:
             check_order("hr", at, at)
         with pytest.raises(UnsupportedOrder):
             check_order("lr", DiscreteAtoms(((0.0, 1.0),)), Normal(0, 1))
+
+    def test_hr_for_a_law_defined_outside_the_package(self):
+        class Shifted(Distribution):  # exponential(1) shifted right by one
+            kind = "shifted"
+
+            def cdf(self, x):
+                return Exponential(1.0).cdf(np.asarray(x, dtype=float) - 1.0)
+
+            def survival(self, x):
+                return Exponential(1.0).survival(np.asarray(x, dtype=float) - 1.0)
+
+            def quantile(self, p):
+                return Exponential(1.0).quantile(p) + 1.0
+
+            def density(self, x):
+                return Exponential(1.0).density(np.asarray(x, dtype=float) - 1.0)
+
+        assert Shifted().has_density and not DiscreteAtoms(((0.0, 1.0),)).has_density
+        assert check_order("hr", Exponential(1.0), Shifted()).holds
 
     def test_st_with_atoms(self):
         a = DiscreteAtoms(((0.0, 0.5), (1.0, 0.5)))

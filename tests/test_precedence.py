@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spcop.copula import (Comonotone, Countermonotone, Gaussian, Independence,
+from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Independence,
                           MarshallOlkinConnecting, MarshallOlkinSurvival,
                           Mixture, OrderStatistics, Shuffle, mix, survival_of,
                           transpose)
@@ -127,6 +127,19 @@ class TestClosedFormsWithMarginals:
     def test_marginal_arity_check(self):
         with pytest.raises(SpecError):
             eta_exact(Independence(), Uniform(0, 1), None)
+
+    def test_family_defined_outside_the_package(self):
+        class Local(CopulaSpec):  # only its closed form for marginals
+            node = "local"
+
+            def closed_eta_xi_with(self, g1, g2):
+                return 0.75, 0.125
+
+        assert eta_exact(Local(), Uniform(0, 1), Normal(0, 1)) == (0.75, 0.125)
+        assert eta_exact(Local()) is None
+        assert eta_exact(transpose(Local()), Normal(0, 1), Uniform(0, 1)) == (0.375, 0.125)
+        r = best_eta_report(Local(), Uniform(0, 1), Normal(0, 1))
+        assert (r.method, r.eta, r.xi) == ("closed_form", 0.75, 0.125)
 
 
 class TestMonteCarlo:
@@ -261,6 +274,16 @@ class TestDispatchAndLevels:
     def test_method_preference_quadrature(self):
         r = best_eta_report(Gaussian(0.2), Uniform(0, 1), Normal(0, 1))
         assert r.method == "quadrature"
+
+    def test_quadrature_errors_propagate(self, monkeypatch):
+        import spcop.precedence as precedence
+
+        def broken(*args, **kwargs):
+            raise SpecError("quadrature bug")
+
+        monkeypatch.setattr(precedence, "eta_quadrature", broken)
+        with pytest.raises(SpecError, match="quadrature bug"):
+            best_eta_report(Gaussian(0.2), Uniform(0, 1), Normal(0, 1))
 
     def test_method_preference_mc(self):
         r = best_eta_report(Shuffle(0.3), Uniform(0, 1), Uniform(0.2, 1.2),

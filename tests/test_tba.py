@@ -32,6 +32,12 @@ class TestProspect:
         q = Prospect("b", Uniform(0, 1), gamma_bound=0.4)
         assert Prospect.from_json(q.to_json()) == q
 
+    def test_gamma_bound_must_be_a_json_number(self):
+        q = Prospect("b", Uniform(0, 1), gamma_bound=0.4)
+        for not_a_number in ("0.4", True):
+            with pytest.raises(SpecError):
+                Prospect.from_json(dict(q.to_json(), gamma_bound=not_a_number))
+
 
 class TestGaussianProspects:
     def test_two_normal_prospects_ranked_by_mean(self):
