@@ -3,8 +3,8 @@ bivariate copulas with explicit singular components."""
 
 __version__ = "0.1.0"
 
-from .copula import (Comonotone, CopulaSample, CopulaSpec, Countermonotone,
-                     Gaussian, Independence, MarshallOlkinConnecting,
+from .copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
+                     Independence, MarshallOlkinConnecting,
                      MarshallOlkinSurvival, Mixture, OrderStatistics, Shuffle,
                      SurvivalOf, Transpose, copula_cdf, copula_from_json,
                      copula_sample, copula_to_json, mix, rect_measure,
@@ -23,5 +23,4 @@ from .precedence import (ClassVerdict, PrecedenceReport, SpLevelResult,
                          best_eta_report, classify, eta_discrete_exact,
                          eta_exact, eta_lower_bound, eta_mc, eta_quadrature,
                          sp_level)
-from .tba import (MixedComparabilityWarning, Prospect, RankingRow,
-                  RankingTable, rank_prospects)
+from .tba import Prospect, RankingRow, RankingTable, rank_prospects

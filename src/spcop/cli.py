@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 from . import __version__
 from .codec import number, sole_float_field
@@ -26,7 +26,7 @@ from .errors import Inconclusive, SpcopError, SpecError
 from .oracle import run_verification
 from .precedence import best_eta_report, classify, sp_level
 from .rng import resolve_workers
-from .tba import Prospect, rank_prospects
+from .tba import Prospect, RankingRow, rank_prospects
 
 __all__ = ["main", "run"]
 
@@ -36,6 +36,8 @@ CURVE_VALUE_BUDGET = 10_000
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
+    if isinstance(x, tuple):  # a ranking row's flags
+        return "|".join(x)
     return str(x)
 
 
@@ -86,6 +88,14 @@ def _emit_csv(stream, args, rows, method):
     for row in rows:
         stream.write(",".join(_fmt(c) for c in row))
         stream.write("\n")
+
+
+def _emit_table(stream, args, head, rows, method):
+    """Rows under column names: a JSON array of objects, or a CSV header and rows."""
+    if args.output == "csv":
+        _emit_csv(stream, args, [head, *rows], method)
+    else:
+        _emit_json(stream, args, [dict(zip(head, row)) for row in rows], method)
 
 
 def _emit_record(stream, args, record, method):
@@ -148,7 +158,8 @@ def _cmd_rank(args, doc, stream):
     table = rank_prospects(target, prospects, n=args.samples, seed=args.seed,
                            workers=resolve_workers(args.workers))
     if args.output == "csv":
-        _emit_csv(stream, args, table.to_csv_rows(), "ranking")
+        head = [f.name for f in fields(RankingRow)]
+        _emit_csv(stream, args, [head, *map(astuple, table.rows)], "ranking")
     else:
         _emit_json(stream, args, asdict(table), "ranking")
     return 0
@@ -156,14 +167,9 @@ def _cmd_rank(args, doc, stream):
 
 def _cmd_sample(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
-    samples = copula_sample(spec, args.seed, args.samples,
+    columns = copula_sample(spec, args.seed, args.samples,
                             workers=resolve_workers(args.workers))
-    if args.output == "json":
-        _emit_json(stream, args, [vars(s) for s in samples], "philox_sampler")
-    else:
-        body = [["u", "v", "component", "structural_tie"]]
-        body += [[s.u, s.v, s.component, s.structural_tie] for s in samples]
-        _emit_csv(stream, args, body, "philox_sampler")
+    _emit_table(stream, args, list(columns), zip(*columns.values()), "philox_sampler")
     return 0
 
 
@@ -209,15 +215,12 @@ def _cmd_curve(args, doc, stream):
                             f"got {count}")
         values = [round(start + i * step, 12) + 0.0 for i in range(count)]
     specs = [copula_from_json({"node": family, param: x}) for x in values]
-    rows = [[param, "eta", "xi", "method"]]
+    rows = []
     for spec in specs:
         rep = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
                               tol=args.tol, workers=resolve_workers(args.workers))
         rows.append([getattr(spec, param), rep.eta, rep.xi, rep.method])
-    if args.output == "json":
-        _emit_json(stream, args, [dict(zip(rows[0], row)) for row in rows[1:]], "curve")
-    else:
-        _emit_csv(stream, args, rows, "curve")
+    _emit_table(stream, args, [param, "eta", "xi", "method"], rows, "curve")
     return 0
 
 

@@ -23,7 +23,7 @@ from .special import normal_cdf, normal_quantile
 __all__ = [
     "CopulaSpec", "Independence", "Comonotone", "Countermonotone", "Shuffle",
     "Gaussian", "MarshallOlkinSurvival", "MarshallOlkinConnecting",
-    "OrderStatistics", "Mixture", "Transpose", "SurvivalOf", "CopulaSample",
+    "OrderStatistics", "Mixture", "Transpose", "SurvivalOf",
     "copula_cdf", "rect_measure", "copula_sample", "sample_uv", "singular_mass",
     "transpose", "survival_of", "mix", "validate_copula",
     "copula_to_json", "copula_from_json", "COPULA_NODES",
@@ -572,14 +572,6 @@ class MarshallOlkinConnecting(_Involution, CopulaSpec):
 # operations
 
 
-@dataclass(frozen=True)
-class CopulaSample:
-    u: float
-    v: float
-    component: str  # "absolutely_continuous" | "singular"
-    structural_tie: bool
-
-
 def copula_cdf(spec: CopulaSpec, u, v):
     """C(u,v), elementwise over scalars or broadcastable arrays."""
     res = spec.cdf(u, v)
@@ -613,11 +605,12 @@ def sample_uv(spec: CopulaSpec, n: int, seed: int, workers: int = 1):
     return u, v, sing, tie
 
 
-def copula_sample(spec: CopulaSpec, seed: int, n: int, workers: int = 1) -> list[CopulaSample]:
+def copula_sample(spec: CopulaSpec, seed: int, n: int, workers: int = 1) -> dict[str, list]:
+    """Sampled columns as plain lists: u, v, component and structural_tie."""
     u, v, sing, tie = sample_uv(spec, n, seed, workers)
-    comp = np.where(sing, "singular", "absolutely_continuous")
-    return [CopulaSample(float(a), float(b), str(c), bool(t))
-            for a, b, c, t in zip(u, v, comp, tie)]
+    return {"u": u.tolist(), "v": v.tolist(),
+            "component": np.where(sing, "singular", "absolutely_continuous").tolist(),
+            "structural_tie": tie.tolist()}
 
 
 def singular_mass(spec: CopulaSpec) -> float:

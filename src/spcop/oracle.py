@@ -35,11 +35,8 @@ class LoadSharingModel:
 
     lam: float
     beta: float
-    alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha != 1.0:
-            raise SpecError("the load-sharing model fixes alpha = 1")
         if not (1.0 < self.lam < self.beta < 1.0 + self.lam):
             raise SpecError(
                 f"need 1 < lam < beta < 1+lam, got lam={self.lam}, beta={self.beta}")

@@ -11,7 +11,13 @@ import os
 
 import numpy as np
 
-__all__ = ["make_stream", "worker_streams", "chunk_sizes", "open_uniform", "resolve_workers"]
+from .errors import SpecError
+
+__all__ = ["make_stream", "worker_streams", "chunk_sizes", "open_uniform", "resolve_workers",
+           "MAX_WORKERS"]
+
+# each worker is one Philox stream and one chunk, so the count bounds the work
+MAX_WORKERS = 1024
 
 _TINY = 2.0 ** -54
 _BELOW_ONE = 1.0 - 2.0 ** -53
@@ -44,9 +50,13 @@ def clip_open(u: np.ndarray) -> np.ndarray:
 
 
 def resolve_workers(workers=None) -> int:
-    if workers is None:
-        workers = 1
+    workers = 1 if workers is None else int(workers)
+    if workers > MAX_WORKERS:
+        raise SpecError(f"at most {MAX_WORKERS} workers, got {workers}")
     cap = os.environ.get("SP_COPULA_THREADS")
     if cap:
-        workers = min(int(workers), max(1, int(cap)))
-    return max(1, int(workers))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError as exc:
+            raise SpecError(f"SP_COPULA_THREADS must be an integer, got {cap!r}") from exc
+    return max(1, workers)

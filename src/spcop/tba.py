@@ -8,7 +8,6 @@ case gamma is a valid floor exactly when the target st-precedes the prospect.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,12 +17,7 @@ from .dist import Distribution, check_order, dist_from_json, dist_to_json
 from .errors import SpecError
 from .precedence import best_eta_report
 
-__all__ = ["Prospect", "RankingRow", "RankingTable", "rank_prospects",
-           "MixedComparabilityWarning"]
-
-
-class MixedComparabilityWarning(UserWarning):
-    """Exact rows and bound rows are interleaved; their semantics differ."""
+__all__ = ["Prospect", "RankingRow", "RankingTable", "rank_prospects"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +28,8 @@ class Prospect:
     gamma_bound: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SpecError(f"prospect name must be a string, got {self.name!r}")
         if (self.copula is None) == (self.gamma_bound is None):
             raise SpecError(f"prospect {self.name!r} needs exactly one of copula / gamma_bound")
         if self.gamma_bound is not None and not (0.0 <= self.gamma_bound <= 1.0):
@@ -48,7 +44,7 @@ class Prospect:
             gb = number(doc["gamma_bound"]) if "gamma_bound" in doc else None
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"prospect gamma_bound must be a number: {exc}") from exc
-        return Prospect(str(doc["name"]), dist_from_json(doc["marginal"]), cop, gb)
+        return Prospect(doc["name"], dist_from_json(doc["marginal"]), cop, gb)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "marginal": dist_to_json(self.marginal)}
@@ -73,12 +69,6 @@ class RankingTable:
     rows: tuple[RankingRow, ...]
     warnings: tuple[str, ...] = ()
 
-    def to_csv_rows(self) -> list[list[str]]:
-        head = ["name", "eta_or_bound", "kind", "stderr", "flags"]
-        body = [[r.name, f"{r.eta_or_bound:.12g}", r.kind, f"{r.stderr:.12g}",
-                 "|".join(r.flags)] for r in self.rows]
-        return [head] + body
-
 
 _EXACT_METHODS = ("closed_form", "quadrature", "discrete_exact")
 
@@ -91,7 +81,7 @@ def rank_prospects(target: Distribution, prospects, n: int = 10 ** 6,
     contribute their gamma as a lower bound, valid only when the target
     st-precedes the prospect's marginal (otherwise the bound collapses to 0
     and the row is flagged incomparable). Rows are sorted descending, ties
-    broken by name; mixing exact and bound rows is reported, not fatal.
+    broken by name; mixing exact and bound rows is noted in the warnings, not fatal.
     """
     prospects = list(prospects)
     if not prospects:
@@ -115,10 +105,8 @@ def rank_prospects(target: Distribution, prospects, n: int = 10 ** 6,
     notes = []
     kinds = {r.kind for r in rows}
     if "lower_bound" in kinds and kinds != {"lower_bound"}:
-        msg = ("ranking mixes exact/estimated eta values with lower bounds; "
-               "bound rows are floors, not point values")
-        warnings.warn(msg, MixedComparabilityWarning, stacklevel=2)
-        notes.append(msg)
+        notes.append("ranking mixes exact/estimated eta values with lower bounds; "
+                     "bound rows are floors, not point values")
     for r in rows:
         if "incomparable" in r.flags:
             notes.append(f"prospect {r.name!r}: no st-ordering against the target; "

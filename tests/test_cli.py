@@ -1,5 +1,6 @@
 """CLI: schemas, dispatch, output formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from spcop.cli import CURVE_VALUE_BUDGET, main, run
+from spcop.errors import SpecError
+from spcop.rng import MAX_WORKERS, resolve_workers
 
 
 def write_doc(tmp_path, name, obj):
@@ -18,10 +21,25 @@ def write_doc(tmp_path, name, obj):
     return str(p)
 
 
+def src_env():
+    """The environment of a child interpreter that imports spcop from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def invoke(argv):
     buf = io.StringIO()
     code = run(argv, buf)
     return code, buf.getvalue()
+
+
+# an exact row, a bound row and a bound row whose st check fails
+MIXED_RANKING = {"target": {"kind": "uniform", "a": 0, "b": 1}, "prospects": [
+    {"name": "exact", "marginal": {"kind": "uniform", "a": 0, "b": 1},
+     "copula": {"node": "shuffle", "gamma": 0.3}},
+    {"name": "bound", "marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}, "gamma_bound": 0.4},
+    {"name": "vacuous", "marginal": {"kind": "uniform", "a": -1, "b": 0.5}, "gamma_bound": 0.9}]}
 
 
 class TestEta:
@@ -101,6 +119,24 @@ class TestRankAndSample:
         assert lines[0] == "name,eta_or_bound,kind,stderr,flags"
         assert lines[1].startswith("B,0.921350396475,exact")
         assert lines[2].startswith("A,0.760249938907,exact")
+
+    def test_rank_csv_rows_format(self, tmp_path):
+        spec = write_doc(tmp_path, "r.json", MIXED_RANKING)
+        code, out = invoke(["rank", "--spec", spec, "--output", "csv"])
+        assert [l for l in out.splitlines() if not l.startswith("#")] == [
+            "name,eta_or_bound,kind,stderr,flags",
+            "bound,0.4,lower_bound,0,",
+            "exact,0.3,exact,0,",
+            "vacuous,0,lower_bound,0,st_check_failed|incomparable"]
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_rank_mixed_table_leaves_stderr_empty(self, tmp_path, output):
+        spec = write_doc(tmp_path, "r.json", MIXED_RANKING)
+        done = subprocess.run([sys.executable, "-m", "spcop.cli", "rank", "--spec", spec,
+                               "--output", output], env=src_env(), capture_output=True, text=True)
+        assert done.returncode == 0 and done.stdout and done.stderr == ""
+        if output == "json":
+            assert any("mixes" in w for w in json.loads(done.stdout)["result"]["warnings"])
 
     def test_sample_csv_shuffle_map(self, tmp_path):
         spec = write_doc(tmp_path, "s.json", {"copula": {"node": "shuffle", "gamma": 0.3}})
@@ -197,6 +233,61 @@ class TestDeterminism:
         code, out = invoke(["eta", "--spec", spec, "--workers", "8"])
         assert json.loads(out)["workers"] == 2
 
+    def test_worker_count_above_bound_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SP_COPULA_THREADS", raising=False)
+        assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
+        with pytest.raises(SpecError):
+            resolve_workers(MAX_WORKERS + 1)
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
+        for count in ("3000", "1000000000"):
+            assert main(["sample", "--spec", spec, "--samples", "10", "--workers", count]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_non_integer_thread_cap_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SP_COPULA_THREADS", "two")
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
+        assert main(["eta", "--spec", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# a mixture with an absolutely continuous part, a singular part without ties
+# (shuffle) and singular parts made of structural ties (mo_survival, comonotone)
+GOLDEN_MIXTURE = {"copula": {"node": "mixture", "weights": [0.4, 0.2, 0.2, 0.2], "components": [
+    {"node": "independence"}, {"node": "shuffle", "gamma": 0.6},
+    {"node": "mo_survival", "alpha1": 0.3, "alpha2": 0.5}, {"node": "comonotone"}]}}
+GOLDEN_CURVE = {"family": "gaussian", "start": -0.5, "stop": 0.5, "step": 0.25,
+                "g1": {"kind": "normal", "mean": 0, "sd": 1},
+                "g2": {"kind": "normal", "mean": 1, "sd": 1}}
+SAMPLE_ARGS = ("--samples", "200", "--seed", "11")
+
+
+class TestGoldenOutput:
+    """sha256 of stdout for the table-shaped outputs, pinned to catch any byte change."""
+
+    @pytest.mark.parametrize("command,doc,argv,digest", [
+        ("sample", GOLDEN_MIXTURE, (*SAMPLE_ARGS, "--workers", "1", "--output", "json"),
+         "f1df77b52aaa16b2f0da1d54162ec446cd9b7025645b2a2ec782ad2e02e5d4c4"),
+        ("sample", GOLDEN_MIXTURE, (*SAMPLE_ARGS, "--workers", "2", "--output", "json"),
+         "f1044ad59a2060f6a74708030198caf8838fc466852644304930a5d33998ffd3"),
+        ("sample", GOLDEN_MIXTURE, (*SAMPLE_ARGS, "--workers", "1", "--output", "csv"),
+         "6754d5f80017ff0f0f1e94658edf05429e7c38a0add3969ee267029fc7e2f371"),
+        ("sample", GOLDEN_MIXTURE, (*SAMPLE_ARGS, "--workers", "2", "--output", "csv"),
+         "80614bfffd68e96683b3e51b5a2c368b4c6ad21929cc757f06fd749023bc72ba"),
+        ("curve", GOLDEN_CURVE, ("--output", "json"),
+         "c7f2fc7187d08d546a0dfecbea8ce4f7c3f3c7e18c63d38a8cfcd96ad795b744"),
+        ("curve", GOLDEN_CURVE, ("--output", "csv"),
+         "2939de6d0a04d52b5eadadaff87d9f118a36e1af7b0d53044ae468037a0f6ebf"),
+        ("rank", MIXED_RANKING, ("--output", "csv"),
+         "93a8e6b38d978432b59571a7ae63729e4c2f6a61ad6f2f0ec1e1635cff010d45"),
+    ], ids=["sample-json-w1", "sample-json-w2", "sample-csv-w1", "sample-csv-w2",
+            "curve-json", "curve-csv", "rank-csv"])
+    def test_stdout_digest(self, tmp_path, command, doc, argv, digest):
+        code, out = invoke([command, "--spec", write_doc(tmp_path, "d.json", doc), *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("command,text", [
@@ -231,12 +322,16 @@ class TestMalformedInputs:
         ("curve", json.dumps({"family": "shuffle", "start": "0.1", "stop": 0.9, "step": 0.1})),
         ("curve", json.dumps({"family": "shuffle", "start": 0.1, "stop": True, "step": 0.1})),
         ("curve", json.dumps({"family": "shuffle", "start": 0.0001, "stop": 1, "step": 1e-9})),
+        *(("rank", json.dumps({"target": {"kind": "normal", "mean": 0, "sd": 1}, "prospects": [
+            {"name": name, "marginal": {"kind": "normal", "mean": 1, "sd": 1},
+             "gamma_bound": 0.4}]})) for name in (None, 3, {"first": "A"})),
     ], ids=["gamma-overflow", "reflected-string", "atoms-inf",
             "not-an-object", "not-utf8", "deep-nesting", "pwl-nan-knot", "curve-step-zero", "curve-start-nan",
             "curve-start-text", "curve-values-number", "curve-values-text",
             "curve-step-away", "curve-two-parameter-family", "rank-prospects-number",
             "rank-gamma-bound-text", "gamma-string", "gamma-boolean", "rank-gamma-bound-string",
-            "curve-start-string", "curve-stop-boolean", "curve-too-many-values"])
+            "curve-start-string", "curve-stop-boolean", "curve-too-many-values",
+            "rank-name-null", "rank-name-number", "rank-name-object"])
     def test_exit_1_with_error_line(self, tmp_path, capsys, command, text):
         path = tmp_path / "bad.json"
         path.write_bytes(text.encode("latin-1"))  # "\xff" stays one byte, invalid UTF-8
@@ -270,12 +365,9 @@ class TestMalformedInputs:
 
 def test_cli_import_leaves_scipy_out():
     # scipy is a test extra; importing it would double the start-up time
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c",
                     "import spcop.cli, sys; assert 'scipy' not in sys.modules"],
-                   env=env, check=True)
+                   env=src_env(), check=True)
 
 
 def test_eta_gamma_samples_once(tmp_path, monkeypatch):

@@ -179,13 +179,15 @@ class TestSampling:
         assert np.max(np.abs(emp - exact)) < 4.0 / math.sqrt(n)
 
     def test_sample_objects(self):
-        samples = copula_sample(MarshallOlkinSurvival(0.4, 0.2), seed=8, n=500)
-        assert len(samples) == 500
-        for s in samples[:50]:
-            assert 0.0 < s.u < 1.0 and 0.0 < s.v < 1.0
-            assert s.component in ("absolutely_continuous", "singular")
-            if s.structural_tie:
-                assert s.component == "singular"
+        cols = copula_sample(MarshallOlkinSurvival(0.4, 0.2), seed=8, n=500)
+        assert list(cols) == ["u", "v", "component", "structural_tie"]
+        assert all(type(c) is list and len(c) == 500 for c in cols.values())
+        for u, v, component, tie in zip(*cols.values()):
+            assert type(u) is float and type(v) is float and type(tie) is bool
+            assert 0.0 < u < 1.0 and 0.0 < v < 1.0
+            assert component in ("absolutely_continuous", "singular")
+            if tie:
+                assert component == "singular"
 
     def test_determinism_and_worker_split(self):
         a = sample_uv(Gaussian(0.5), 10_000, seed=9, workers=1)
