@@ -252,6 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise SpecError(f"--tol must be a finite number >= 0, got {args.tol}")
     if args.command != "verify" and args.spec is None:
         raise SpecError(f"{args.command} needs --spec <path>")
     doc = _load_doc(args.spec)

@@ -26,7 +26,8 @@ class NoDensity(SpcopError, ValueError):
 
 
 class SizeLimit(SpcopError, ValueError):
-    """Exact discrete computation would exceed the atom budget."""
+    """A deterministic route would exceed its work budget: the atom budget of
+    the exact discrete sum, or the integrand point cap of quadrature."""
 
 
 class Inconclusive(SpcopError):

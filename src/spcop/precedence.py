@@ -131,9 +131,8 @@ def eta_quadrature(spec: CopulaSpec, g1: Distribution, g2: Distribution,
     if not (g1.is_class_g and g2.is_class_g):
         raise SpecError("quadrature needs invertible (class-G) marginals")
 
-    def integrand(u: float) -> float:
-        h = g2.cdf(g1.quantile(u))
-        return float(np.asarray(spec.conditional_cdf(np.float64(u), np.float64(h))))
+    def integrand(u):
+        return spec.conditional_cdf(u, g2.cdf(g1.quantile(u)))
 
     inner = integrate_adaptive(integrand, 0.0, 1.0, tol)
     eta = min(max(1.0 - inner, 0.0), 1.0)
@@ -189,7 +188,10 @@ def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
         except SizeLimit:
             pass
     if spec.absolutely_continuous and g1.is_class_g and g2.is_class_g:
-        return eta_quadrature(spec, g1, g2, max(tol, 1e-10))
+        try:
+            return eta_quadrature(spec, g1, g2, max(tol, 1e-10))
+        except SizeLimit:
+            pass
     return eta_mc(spec, g1, g2, n, seed, workers)
 
 

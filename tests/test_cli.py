@@ -340,6 +340,28 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["eta", "classify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_tol_must_be_finite_and_not_negative(self, tmp_path, capsys, command, tol):
+        spec = write_doc(tmp_path, "q.json", {
+            "copula": {"node": "gaussian", "rho": 0.5},
+            "g1": {"kind": "uniform", "a": 0, "b": 1},
+            "g2": {"kind": "exponential", "rate": 2}})
+        assert main([command, "--spec", spec, "--gamma", "0.4", f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol")
+
+    def test_tol_zero_is_accepted(self, tmp_path):
+        spec = write_doc(tmp_path, "q.json", {
+            "copula": {"node": "gaussian", "rho": 0.5},
+            "g1": {"kind": "uniform", "a": 0, "b": 1},
+            "g2": {"kind": "exponential", "rate": 2}})
+        code, out = invoke(["eta", "--spec", spec, "--tol", "0"])
+        assert code == 0 and json.loads(out)["method"] == "quadrature"
+        code, out = invoke(["classify", "--spec", spec, "--gamma", "0.5", "--tol", "0"])
+        assert code == 0 and json.loads(out)["result"]["tolerance"] == 0.0
+
     def test_curve_descending_range(self, tmp_path):
         spec = write_doc(tmp_path, "c.json", {
             "family": "shuffle", "start": 0.9, "stop": 0.1, "step": -0.2})

@@ -224,10 +224,10 @@ class TestSingularMass:
         # mass of the boundary curve = 1 - integral of the density over the
         # absolutely continuous region; the inner v-integral is closed-form
         def inner(u):
-            if u >= 1.0:
-                return 1.0  # removable singularity: (1-r)/sqrt(1-u) -> 1
-            r = 1.0 - math.sqrt(1.0 - u)
-            return (1.0 - r) / math.sqrt(1.0 - u)  # = int_{r^2}^1 dv/(2 sqrt(v) sqrt(1-u))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = 1.0 - np.sqrt(1.0 - u)
+                value = (1.0 - r) / np.sqrt(1.0 - u)  # = int_{r^2}^1 dv/(2 sqrt(v) sqrt(1-u))
+            return np.where(u >= 1.0, 1.0, value)  # removable singularity: -> 1
 
         total = integrate_adaptive(inner, 0.0, 1.0, 1e-10)
         assert total == pytest.approx(1.0, abs=1e-9)
