@@ -34,6 +34,7 @@ _GL_T = 0.5 * (_GL_NODES + 1.0)           # nodes on (0,1)
 _GL_W = 0.5 * _GL_WEIGHTS
 _TAIL_DEPTH = 16.6                         # phi mass beyond it is < 1e-19
 _UV_CLAMP = 1e-13                          # copulas are 1-Lipschitz per argument
+_CDF_BLOCK = 128                           # Gaussian cdf points per panel pass
 
 
 class CopulaSpec:
@@ -180,6 +181,34 @@ class Shuffle(CopulaSpec):
         return self.gamma, (1.0 if self.gamma == 1.0 else 0.0)
 
 
+def _gauss_panels(a, b, rho, s):
+    """Integral of phi(z) Phi((b - rho z)/s) over z < a, per point."""
+    # composite 64-node Gauss-Legendre in y = a - z: coarse bell panels
+    # plus panels straddling the conditional's transition layer, whose
+    # width collapses like s/|rho| as |rho| -> 1
+    y0 = a - b / rho
+    w = 8.0 * s / max(abs(rho), 0.125)
+    edges = np.column_stack([
+        np.zeros_like(a),
+        np.full_like(a, 1.5),
+        np.full_like(a, 6.0),
+        np.clip(y0 - w, 0.0, _TAIL_DEPTH),
+        np.clip(y0 + w, 0.0, _TAIL_DEPTH),
+        np.full_like(a, _TAIL_DEPTH),
+    ])
+    edges.sort(axis=1)
+    acc = np.zeros_like(a)
+    for p in range(edges.shape[1] - 1):
+        lo_e = edges[:, p]
+        width = edges[:, p + 1] - lo_e
+        y = lo_e[:, None] + width[:, None] * _GL_T[None, :]
+        z = a[:, None] - y
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        cond = normal_cdf((b[:, None] - rho * z) / s)
+        acc += width * np.einsum("mk,k->m", phi * cond, _GL_W)
+    return acc
+
+
 @dataclass(frozen=True)
 class Gaussian(CopulaSpec):
     rho: float
@@ -221,30 +250,10 @@ class Gaussian(CopulaSpec):
             a = normal_quantile(lo)
             b = normal_quantile(hi)
             s = math.sqrt(1.0 - rho * rho)
-            # composite 64-node Gauss-Legendre in y = a - z: coarse bell panels
-            # plus panels straddling the conditional's transition layer, whose
-            # width collapses like s/|rho| as |rho| -> 1
-            y0 = a - b / rho
-            w = 8.0 * s / max(abs(rho), 0.125)
-            edges = np.column_stack([
-                np.zeros_like(a),
-                np.full_like(a, 1.5),
-                np.full_like(a, 6.0),
-                np.clip(y0 - w, 0.0, _TAIL_DEPTH),
-                np.clip(y0 + w, 0.0, _TAIL_DEPTH),
-                np.full_like(a, _TAIL_DEPTH),
-            ])
-            edges.sort(axis=1)
-            acc = np.zeros_like(a)
-            for p in range(edges.shape[1] - 1):
-                lo_e = edges[:, p]
-                width = edges[:, p + 1] - lo_e
-                y = lo_e[:, None] + width[:, None] * _GL_T[None, :]
-                z = a[:, None] - y
-                phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-                cond = normal_cdf((b[:, None] - rho * z) / s)
-                acc += width * np.einsum("mk,k->m", phi * cond, _GL_W)
-            out[inner] = acc
+            # fixed blocks keep every (points x nodes) temporary cache-sized
+            out[inner] = np.concatenate([
+                _gauss_panels(a[k:k + _CDF_BLOCK], b[k:k + _CDF_BLOCK], rho, s)
+                for k in range(0, a.size, _CDF_BLOCK)])
         return out
 
     def sample_arrays(self, rng, n):

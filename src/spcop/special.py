@@ -41,40 +41,57 @@ _ERFC_Q = np.array([2.56852019228982242e00, 1.87295284992346047e00,
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
+def _rational(y, c, d):
+    """Cody's Horner pair (num + c[k], den + d[k]), k = len(d) - 1, in place."""
+    k = len(d) - 1
+    num = c[k + 1] * y
+    den = y.copy()
+    for i in range(k):
+        num += c[i]
+        num *= y
+        den += d[i]
+        den *= y
+    num += c[k]
+    den += d[k]
+    return num, den
+
+
+def _exp_split(y, frac):
+    """exp(-y^2) * frac, with exp(-y^2) split to keep the argument reduction
+    exact in the tail: exp(-ysq^2) * exp(-(y - ysq)(y + ysq))."""
+    ysq = y * 16.0
+    np.trunc(ysq, out=ysq)
+    ysq /= 16.0
+    delta = y - ysq
+    delta *= y + ysq  # its own temporary: ysq += y then ysq -= y is not exact
+    ysq *= ysq
+    np.exp(np.negative(ysq, out=ysq), out=ysq)
+    ysq *= np.exp(np.negative(delta, out=delta), out=delta)
+    ysq *= frac
+    return ysq
+
+
 def _erf_small(y2):
-    num = _ERF_A[4] * y2
-    den = y2
-    for i in range(3):
-        num = (num + _ERF_A[i]) * y2
-        den = (den + _ERF_B[i]) * y2
-    return (num + _ERF_A[3]) / (den + _ERF_B[3])
+    num, den = _rational(y2, _ERF_A, _ERF_B)
+    num /= den
+    return num
 
 
 def _erfc_mid(y):
-    num = _ERFC_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERFC_C[i]) * y
-        den = (den + _ERFC_D[i]) * y
-    frac = (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    # split exp(-y^2) to keep the argument reduction exact in the tail
-    ysq = np.trunc(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-delta) * frac
+    num, den = _rational(y, _ERFC_C, _ERFC_D)
+    num /= den
+    return _exp_split(y, num)
 
 
 def _erfc_large(y):
-    y2 = 1.0 / (y * y)
-    num = _ERFC_P[5] * y2
-    den = y2
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * y2
-        den = (den + _ERFC_Q[i]) * y2
-    frac = y2 * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    frac = (_INV_SQRT_PI - frac) / y
-    ysq = np.trunc(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-delta) * frac
+    y2 = y * y
+    np.divide(1.0, y2, out=y2)
+    num, den = _rational(y2, _ERFC_P, _ERFC_Q)
+    num *= y2  # y2 * (num + P4) / (den + Q4)
+    num /= den
+    np.subtract(_INV_SQRT_PI, num, out=num)
+    num /= y
+    return _exp_split(y, num)
 
 
 def erfc(x):
@@ -83,7 +100,7 @@ def erfc(x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     y = np.abs(x)
-    out = np.empty_like(y)
+    out = np.full_like(y, np.nan)  # NaN fails every region mask below
 
     small = y <= 0.46875
     mid = (y > 0.46875) & (y <= 4.0)

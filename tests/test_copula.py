@@ -1,13 +1,16 @@
 """Copula families: cdf formulas, rectangle measures, transforms, samplers,
 singular masses, validation, and the JSON codec."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from spcop.copula import (COPULA_NODES, Comonotone, CopulaSpec, Countermonotone, Gaussian,
+from spcop.copula import (_CDF_BLOCK, COPULA_NODES, Comonotone, CopulaSpec,
+                          Countermonotone, Gaussian,
                           Independence, MarshallOlkinConnecting,
                           MarshallOlkinSurvival, Mixture, OrderStatistics,
                           Shuffle, SurvivalOf, Transpose, copula_cdf,
@@ -63,6 +66,64 @@ class TestCdf:
             Gaussian(1.0)
         with pytest.raises(SpecError):
             MarshallOlkinSurvival(0.0, 0.5)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _atom_edges(rng, n):
+    """Cumulative atom weights with exact 0/1 ends, as eta_discrete_exact builds them."""
+    e = np.concatenate([[0.0], np.minimum(np.cumsum(rng.dirichlet(np.ones(n))), 1.0)])
+    e[-1] = 1.0
+    return e
+
+
+class TestGaussianCdfBits:
+    """sha256 of the cdf bytes, recorded before the cdf was split into
+    _CDF_BLOCK-point blocks and the erfc kernels were made in-place."""
+
+    ATOM_GRIDS = [
+        (0.7, 100, "45b59f0b27b2c1d88896eb0eaaec3f9bf9acc6377bcdaffbdc8515a6f4dbc28c"),
+        (-0.6, 101, "328974064e2aaaac5b239c18af12723ddfb937873699e4dbf06f2bb8e0e46d7d"),
+        (0.95, 102, "ed4bb546cf29ab2f9cfb11c25e5ceef4b0cb61688f3652f8b5383e2d151e90b0"),
+        (-0.2, 103, "04f9e50c6e41f9c83df623660529537e7a4a584b6cd6df3424a2f5178e234d3a"),
+        (0.999, 104, "0d616e4951120b4789594ab8558b5a48bd985c1ce83778fc90fd3bbc3460aa7d"),
+        (1e-16, 105, "a0391c90b475646e798b544d20cc52e3530d029580041b92664380d19be597dc"),
+    ]
+
+    @pytest.mark.parametrize("rho,seed,digest", ATOM_GRIDS, ids=[str(g[0]) for g in ATOM_GRIDS])
+    def test_atom_grid_digest(self, rho, seed, digest):
+        rng = np.random.default_rng(seed)
+        ue, ve = _atom_edges(rng, 128), _atom_edges(rng, 128)
+        assert _sha256(Gaussian(rho).cdf(ue[:, None], ve[None, :])) == digest
+
+    def test_linspace_grid_digest(self):
+        g = np.linspace(0.0, 1.0, 65)
+        assert (_sha256(Gaussian(0.7).cdf(g[:, None], g[None, :]))
+                == "940d2e9d0de0b054dde7abe32ed2a1f9b3f0019f6cd57f0dfd84f7f5632bfe6e")
+
+    @pytest.mark.parametrize("rho", [0.7, -0.95])
+    def test_block_seams_keep_bits(self, rho):
+        g = np.linspace(0.0, 1.0, 21)
+        interior = (g.size - 2) ** 2
+        assert interior > 2 * _CDF_BLOCK and interior % _CDF_BLOCK != 0
+        spec = Gaussian(rho)
+        grid = spec.cdf(g[:, None], g[None, :])
+        alone = np.array([[spec.cdf(u, v) for v in g] for u in g])
+        assert np.array_equal(grid.view(np.int64), alone.view(np.int64))
+
+    def test_grid_memory_is_bounded(self):
+        g = np.linspace(0.0, 1.0, 129)
+        spec = Gaussian(0.95)
+        spec.cdf(g[:, None], g[None, :])
+        tracemalloc.start()
+        try:
+            spec.cdf(g[:, None], g[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestRectMeasure:

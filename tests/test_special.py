@@ -1,12 +1,14 @@
 """Precision checks for the normal cdf/quantile kernels against independent
 references (libm erfc, scipy)."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from spcop.dist import Normal
 from spcop.special import erfc, normal_cdf, normal_pdf, normal_quantile
 
 
@@ -24,6 +26,36 @@ def test_erfc_scalar_and_saturation():
     assert erfc(30.0) == 0.0
     assert erfc(-30.0) == 2.0
     assert isinstance(erfc(1.3), float)
+
+
+def test_erfc_nan_in_nan_out():
+    got = erfc(np.array([1e300, np.nan, np.nan, 2.0, np.nan]))
+    assert np.array_equal(np.isnan(got), [False, True, True, False, True])
+    assert got[0] == 0.0 and got[3] == erfc(2.0)
+    assert math.isnan(erfc(float("nan")))
+    cdf = Normal(0.0, 1.0).cdf(np.array([np.nan, 0.0]))
+    assert math.isnan(cdf[0]) and cdf[1] == 0.5
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_kernel_bits_are_pinned():
+    """sha256 of the kernels' output bytes, recorded before the kernels were
+    made in-place: each region boundary and its neighbours, +-0, +-inf, a
+    dense sweep, and for the quantile both tails down to subnormals."""
+    bounds = np.array([0.46875, 4.0, 26.6, 27.0])
+    near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf)])
+    xs = np.concatenate([near, -near, [0.0, -0.0, np.inf, -np.inf],
+                         np.linspace(-30.0, 30.0, 200001)])
+    ps = np.concatenate([[0.0, 1.0, 0.5, 0.02425, 1.0 - 0.02425, 5e-324, 1e-310],
+                         np.linspace(0.0, 1.0, 200001), 10.0 ** -np.linspace(1.0, 320.0, 2001)])
+    assert _sha256(erfc(xs)) == "eac0d5257eebf8f60c8bb90b41215dd25ff9f7565df98943e81601838551890c"
+    assert (_sha256(normal_cdf(xs))
+            == "cdcd864dcb06ecbddbd18995813ca36a4a463535cc96de8f21627538e9bb93b1")
+    assert (_sha256(normal_quantile(ps))
+            == "79ff10be37b5c6078973175fc1ba4df17f0e09af6eb1ab33009b586c0d6adb47")
 
 
 def test_normal_cdf_accuracy():
