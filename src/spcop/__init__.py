@@ -12,8 +12,7 @@ from .copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
                      validate_copula)
 from .dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                    OrderCheckResult, PiecewiseLinearCdf, Uniform, UniformPower,
-                   cdf, check_order, dist_from_json, dist_to_json, is_class_g,
-                   pointwise_min_cdf, quantile)
+                   check_order, dist_from_json, dist_to_json, pointwise_min_cdf)
 from .errors import (Inconclusive, NoDensity, SizeLimit, SpcopError, SpecError,
                      UnknownMass, UnsupportedOrder, WeightError)
 from .oracle import (LoadSharingModel, grid_eta_oracle, load_sharing_sample,

@@ -31,6 +31,8 @@ from .tba import Prospect, RankingRow, rank_prospects
 __all__ = ["main", "run"]
 
 CURVE_VALUE_BUDGET = 10_000
+MAX_SAMPLES = 10 ** 7
+MAX_GRID = 2 ** 16
 
 
 def _fmt(x) -> str:
@@ -254,6 +256,10 @@ def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise SpecError(f"--tol must be a finite number >= 0, got {args.tol}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise SpecError(f"--samples must lie in [1, {MAX_SAMPLES}], got {args.samples}")
+    if args.grid > MAX_GRID:
+        raise SpecError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
     if args.command != "verify" and args.spec is None:
         raise SpecError(f"{args.command} needs --spec <path>")
     doc = _load_doc(args.spec)
@@ -265,9 +271,6 @@ def main(argv=None) -> int:
     buffer = io.StringIO()
     try:
         code = run(argv, buffer)
-    except Inconclusive as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return 2
     except SpcopError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -22,8 +22,8 @@ from .special import normal_cdf, normal_pdf, normal_quantile
 __all__ = [
     "Distribution", "Uniform", "Exponential", "Normal", "DiscreteAtoms",
     "PiecewiseLinearCdf", "UniformPower", "OrderCheckResult", "check_order",
-    "order_holds_at", "pointwise_min_cdf", "is_class_g", "cdf", "quantile",
-    "dist_to_json", "dist_from_json", "quantile_grid", "DIST_KINDS",
+    "order_holds_at", "pointwise_min_cdf", "dist_to_json", "dist_from_json",
+    "quantile_grid", "DIST_KINDS",
 ]
 
 _EPS = 1e-12
@@ -71,10 +71,6 @@ class Distribution:
     def is_class_g(self) -> bool:
         """Continuous and strictly increasing where the cdf is in (0,1)."""
         return False
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.quantile(0.0), self.quantile(1.0))
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
@@ -367,20 +363,6 @@ class PiecewiseLinearCdf(Distribution):
 
     def discontinuities(self):
         return self._xs.copy()
-
-
-def cdf(dist: Distribution, x):
-    """Evaluate G(x)."""
-    return dist.cdf(x)
-
-
-def quantile(dist: Distribution, p):
-    """Generalized inverse G^-1(p) = inf{x : G(x) >= p}."""
-    return dist.quantile(p)
-
-
-def is_class_g(dist: Distribution) -> bool:
-    return dist.is_class_g
 
 
 # ---------------------------------------------------------------------------

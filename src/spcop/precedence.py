@@ -19,7 +19,7 @@ from .integrate import integrate_adaptive
 __all__ = [
     "PrecedenceReport", "ClassVerdict", "SpLevelResult", "eta_exact", "eta_mc",
     "eta_quadrature", "eta_discrete_exact", "best_eta_report", "sp_level",
-    "classify", "eta_lower_bound",
+    "classify", "eta_lower_bound", "ROUTES",
 ]
 
 MC_MIN_SAMPLES = 10_000
@@ -34,7 +34,7 @@ class PrecedenceReport:
     method: str  # closed_form | discrete_exact | quadrature | monte_carlo
     stderr_eta: float
     stderr_xi: float
-    samples: int
+    samples: int  # > 0 exactly when the answer is a Monte Carlo estimate
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -119,6 +119,13 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
 # quadrature
 
 
+def _needs_density(spec, g1, g2):
+    if not spec.absolutely_continuous:
+        return NoDensity("copula has a singular component; use eta_mc")
+    if not (g1 is not None and g1.is_class_g and g2.is_class_g):
+        return SpecError("quadrature needs invertible (class-G) marginals")
+
+
 def eta_quadrature(spec: CopulaSpec, g1: Distribution, g2: Distribution,
                    tol: float = 1e-8) -> PrecedenceReport:
     """Integrate the copula density over {(u,v): G1^-1(u) <= G2^-1(v)}.
@@ -126,10 +133,8 @@ def eta_quadrature(spec: CopulaSpec, g1: Distribution, g2: Distribution,
     The region is v >= h(u) with h = G2 o G1^-1, so the inner integral is
     1 - d1C(u, h(u)) exactly and only the outer u-integral is numeric.
     """
-    if not spec.absolutely_continuous:
-        raise NoDensity("copula has a singular component; use eta_mc")
-    if not (g1.is_class_g and g2.is_class_g):
-        raise SpecError("quadrature needs invertible (class-G) marginals")
+    if (error := _needs_density(spec, g1, g2)) is not None:
+        raise error
 
     def integrand(u):
         return spec.conditional_cdf(u, g2.cdf(g1.quantile(u)))
@@ -143,11 +148,16 @@ def eta_quadrature(spec: CopulaSpec, g1: Distribution, g2: Distribution,
 # exact discrete
 
 
+def _needs_atoms(spec, g1, g2):
+    if not (isinstance(g1, DiscreteAtoms) and isinstance(g2, DiscreteAtoms)):
+        return SpecError("eta_discrete_exact needs DiscreteAtoms marginals")
+
+
 def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
                        g2: DiscreteAtoms) -> PrecedenceReport:
     """Exact double sum over atom rectangles of the copula measure."""
-    if not (isinstance(g1, DiscreteAtoms) and isinstance(g2, DiscreteAtoms)):
-        raise SpecError("eta_discrete_exact needs DiscreteAtoms marginals")
+    if (error := _needs_atoms(spec, g1, g2)) is not None:
+        raise error
     n1, n2 = len(g1.points), len(g2.points)
     if n1 + n2 > DISCRETE_ATOM_BUDGET:
         raise SizeLimit(f"{n1}+{n2} atoms exceed the {DISCRETE_ATOM_BUDGET} budget")
@@ -172,27 +182,36 @@ def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
 # dispatch, levels, classes
 
 
+def _closed_form(spec, g1, g2, **_):
+    if (closed := eta_exact(spec, g1, g2)) is not None:
+        return PrecedenceReport(*map(float, closed), "closed_form", 0.0, 0.0, 0, None)
+
+
+# Estimator routes in preference order, as (precondition, run): a precondition returns
+# the error that rules its route out or None, a run returns a report or None, and a
+# SizeLimit hands over to the next route. Runs look eta_* up when called (patchable).
+ROUTES = (
+    (lambda spec, g1, g2: None, _closed_form),
+    (_needs_atoms, lambda spec, g1, g2, **_: eta_discrete_exact(spec, g1, g2)),
+    (_needs_density,
+     lambda spec, g1, g2, tol, **_: eta_quadrature(spec, g1, g2, max(tol, 1e-10))),
+    (lambda spec, g1, g2: UnknownMass("no closed form for this copula") if g1 is None else None,
+     lambda spec, g1, g2, n, seed, workers, **_: eta_mc(spec, g1, g2, n, seed, workers)),
+)
+
+
 def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
                     g2: Optional[Distribution] = None, *, n: int = 10 ** 6,
                     seed: int = 0, tol: float = 1e-9, workers: int = 1) -> PrecedenceReport:
-    """Method selection: closed_form > discrete_exact > quadrature > monte_carlo."""
-    closed = eta_exact(spec, g1, g2)
-    if closed is not None:
-        eta, xi = closed
-        return PrecedenceReport(float(eta), float(xi), "closed_form", 0.0, 0.0, 0, None)
-    if g1 is None:
-        raise UnknownMass("no closed form for this copula")  # unreachable for built-ins
-    if isinstance(g1, DiscreteAtoms) and isinstance(g2, DiscreteAtoms):
-        try:
-            return eta_discrete_exact(spec, g1, g2)
-        except SizeLimit:
-            pass
-    if spec.absolutely_continuous and g1.is_class_g and g2.is_class_g:
-        try:
-            return eta_quadrature(spec, g1, g2, max(tol, 1e-10))
-        except SizeLimit:
-            pass
-    return eta_mc(spec, g1, g2, n, seed, workers)
+    """The first report a route of ROUTES gives, or the error that ruled out the last."""
+    for needs, run in ROUTES:
+        if (reason := needs(spec, g1, g2)) is None:
+            try:
+                if report := run(spec, g1, g2, n=n, seed=seed, tol=tol, workers=workers):
+                    return report
+            except SizeLimit as exc:
+                reason = exc
+    raise reason
 
 
 def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
@@ -206,10 +225,10 @@ def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
     if not (0.0 <= gamma <= 1.0):
         raise SpecError(f"gamma must lie in [0,1], got {gamma}")
     report = best_eta_report(spec, g1, g2, n=n, seed=seed, tol=tol, workers=workers)
-    if report.method == "monte_carlo" and abs(report.eta - gamma) < 3.0 * report.stderr_eta:
+    if report.samples > 0 and abs(report.eta - gamma) < 3.0 * report.stderr_eta:
         raise Inconclusive(
             f"eta estimate {report.eta:.6f} within 3 stderr of gamma={gamma}", report)
-    slack = 1e-12 if report.method != "monte_carlo" else 0.0
+    slack = 0.0 if report.samples > 0 else 1e-12
     return SpLevelResult(bool(report.eta >= gamma - slack), report)
 
 

@@ -70,9 +70,6 @@ class RankingTable:
     warnings: tuple[str, ...] = ()
 
 
-_EXACT_METHODS = ("closed_form", "quadrature", "discrete_exact")
-
-
 def rank_prospects(target: Distribution, prospects, n: int = 10 ** 6,
                    seed: int = 0, workers: int = 1) -> RankingTable:
     """Rank prospects by P(T <= X), best first.
@@ -91,7 +88,7 @@ def rank_prospects(target: Distribution, prospects, n: int = 10 ** 6,
         if p.copula is not None:
             report = best_eta_report(p.copula, target, p.marginal,
                                      n=n, seed=seed + i, workers=workers)
-            kind = "exact" if report.method in _EXACT_METHODS else "estimate"
+            kind = "estimate" if report.samples > 0 else "exact"
             rows.append(RankingRow(p.name, report.eta, kind, report.stderr_eta))
         else:
             order = check_order("st", target, p.marginal)

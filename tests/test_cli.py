@@ -261,6 +261,19 @@ GOLDEN_CURVE = {"family": "gaussian", "start": -0.5, "stop": 0.5, "step": 0.25,
                 "g1": {"kind": "normal", "mean": 0, "sd": 1},
                 "g2": {"kind": "normal", "mean": 1, "sd": 1}}
 SAMPLE_ARGS = ("--samples", "200", "--seed", "11")
+U01 = {"kind": "uniform", "a": 0, "b": 1}
+THREE_ATOMS = {"kind": "atoms", "points": [[-1, 0.3], [0, 0.4], [1, 0.3]]}
+# one eta document per estimator route, in preference order
+GOLDEN_ETA = {
+    "closed_form": {"copula": {"node": "shuffle", "gamma": 0.3}, "g1": U01, "g2": U01},
+    "discrete_exact": {"copula": {"node": "gaussian", "rho": 0.5},
+                       "g1": THREE_ATOMS, "g2": THREE_ATOMS},
+    "quadrature": {"copula": {"node": "gaussian", "rho": 0.5}, "g1": U01,
+                   "g2": {"kind": "exponential", "rate": 2}},
+    "monte_carlo": {"copula": {"node": "shuffle", "gamma": 0.3}, "g1": U01,
+                    "g2": {"kind": "uniform", "a": 0.2, "b": 1.2}},
+}
+ETA_ARGS = ("--samples", "20000", "--seed", "7")
 
 
 class TestGoldenOutput:
@@ -281,8 +294,28 @@ class TestGoldenOutput:
          "2939de6d0a04d52b5eadadaff87d9f118a36e1af7b0d53044ae468037a0f6ebf"),
         ("rank", MIXED_RANKING, ("--output", "csv"),
          "93a8e6b38d978432b59571a7ae63729e4c2f6a61ad6f2f0ec1e1635cff010d45"),
+        ("eta", GOLDEN_ETA["closed_form"], (*ETA_ARGS, "--output", "json"),
+         "59f50aa158918929ac88c7d37aba49dd311024e1a4b5c8f1b55d5941528a9c4a"),
+        ("eta", GOLDEN_ETA["closed_form"], (*ETA_ARGS, "--output", "csv"),
+         "4bab2bd1277140b6c404de29fd98e50382f6352eef2ce536cdd2525ac833e40c"),
+        ("eta", GOLDEN_ETA["discrete_exact"], (*ETA_ARGS, "--output", "json"),
+         "168bfd585f35de1c140da74cd6088b5e99d02c004aee00bb9f105a19b4a0a3b6"),
+        ("eta", GOLDEN_ETA["discrete_exact"], (*ETA_ARGS, "--output", "csv"),
+         "9db3542bf1140d2e643f50795e29334de5b0db5e11b589ce4b6436c929ba3598"),
+        ("eta", GOLDEN_ETA["quadrature"], (*ETA_ARGS, "--output", "json"),
+         "3bd8f71a84dd3126e53d687e66186f26e6948265c0c06a5720a295104c3be675"),
+        ("eta", GOLDEN_ETA["quadrature"], (*ETA_ARGS, "--output", "csv"),
+         "53649d3301f491b28f20159530fc71683de0c426d917062dfed3d0f88d815170"),
+        ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--output", "json"),
+         "f442558aef681c5cb8b263c96e88481cf93ee0598c4cf348df5abdd8c9768123"),
+        ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--output", "csv"),
+         "f675b36b847d93aab2529424fbc5219f6a2e81b21060c73fe29bf89b8f6d15f1"),
+        ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--gamma", "0.4"),
+         "d70276cb0f5d9430144c3a68ebcb54fd15fd8a1b3ba15f26bdbe3e0c672f8b42"),
     ], ids=["sample-json-w1", "sample-json-w2", "sample-csv-w1", "sample-csv-w2",
-            "curve-json", "curve-csv", "rank-csv"])
+            "curve-json", "curve-csv", "rank-csv",
+            *(f"eta-{route}-{fmt}" for route in GOLDEN_ETA for fmt in ("json", "csv")),
+            "eta-gamma"])
     def test_stdout_digest(self, tmp_path, command, doc, argv, digest):
         code, out = invoke([command, "--spec", write_doc(tmp_path, "d.json", doc), *argv])
         assert code == 0
@@ -351,6 +384,24 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --tol")
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("verify", "--samples", "-5"),
+        ("verify", "--samples", "0"),
+        ("sample", "--samples", "1000000000000"),
+        ("eta", "--samples", str(10 ** 7 + 1)),
+        ("order", "--grid", "1000000000000"),
+        ("order", "--grid", str(2 ** 16 + 1)),
+    ])
+    def test_samples_and_grid_are_bounded(self, tmp_path, capsys, command, option, value):
+        spec = write_doc(tmp_path, "b.json", {
+            "copula": {"node": "gaussian", "rho": 0.5},
+            "g1": {"kind": "uniform", "a": 0, "b": 1},
+            "g2": {"kind": "exponential", "rate": 2}})
+        assert main([command, "--spec", spec, option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option}")
 
     def test_tol_zero_is_accepted(self, tmp_path):
         spec = write_doc(tmp_path, "q.json", {

@@ -12,7 +12,7 @@ from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Ind
                           transpose)
 from spcop.dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                         Uniform, UniformPower)
-from spcop.errors import Inconclusive, NoDensity, SizeLimit, SpecError
+from spcop.errors import Inconclusive, NoDensity, SizeLimit, SpecError, UnknownMass
 from spcop.precedence import (ClassVerdict, PrecedenceReport, best_eta_report,
                               classify, eta_discrete_exact, eta_exact,
                               eta_lower_bound, eta_mc, eta_quadrature,
@@ -140,6 +140,8 @@ class TestClosedFormsWithMarginals:
         assert eta_exact(transpose(Local()), Normal(0, 1), Uniform(0, 1)) == (0.375, 0.125)
         r = best_eta_report(Local(), Uniform(0, 1), Normal(0, 1))
         assert (r.method, r.eta, r.xi) == ("closed_form", 0.75, 0.125)
+        with pytest.raises(UnknownMass, match="no closed form"):
+            best_eta_report(Local())
 
 
 class TestMonteCarlo:
@@ -289,6 +291,16 @@ class TestDispatchAndLevels:
         r = best_eta_report(Shuffle(0.3), Uniform(0, 1), Uniform(0.2, 1.2),
                             n=20_000, seed=43)
         assert r.method == "monte_carlo"
+
+    def test_discrete_over_the_atom_budget_falls_back_to_monte_carlo(self):
+        big = DiscreteAtoms(tuple((float(x), 1.0 / 6000) for x in range(6000)))
+        r = best_eta_report(Gaussian(0.5), big, big, n=20_000, seed=5)
+        assert r.method == "monte_carlo" and r.samples == 20_000
+        assert r == eta_mc(Gaussian(0.5), big, big, 20_000, seed=5)
+
+    def test_sp_level_gives_exact_routes_slack(self):
+        r = sp_level(Shuffle(0.3), Uniform(0, 1), Uniform(0, 1), 0.3 + 5e-13)
+        assert r.holds and r.report.method == "closed_form" and r.report.eta == 0.3
 
     def test_sp_level_examples(self):
         assert sp_level(Shuffle(0.8), Uniform(0, 1), Uniform(0, 1), 0.5).holds
