@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 
 from . import __version__
 from .codec import number, sole_float_field
@@ -84,27 +84,56 @@ def _emit_json(stream, args, result, method):
     stream.write("\n")
 
 
-def _emit_csv(stream, args, rows, method):
-    for key, value in _metadata(args, method).items():
-        stream.write(f"# {key}={value}\n")
-    for row in rows:
-        stream.write(",".join(_fmt(c) for c in row))
-        stream.write("\n")
+# equal values of these types print alike (unlike 1, 1.0 and True, or 0.0 and
+# -0.0), so a column of them keys its encoded text by value, others by repr
+_SELF_KEYED = {str, bool, type(None)}
 
 
-def _emit_table(stream, args, head, rows, method):
-    """Rows under column names: a JSON array of objects, or a CSV header and rows."""
-    if args.output == "csv":
-        _emit_csv(stream, args, [head, *rows], method)
-    else:
-        _emit_json(stream, args, [dict(zip(head, row)) for row in rows], method)
+def _emit_table(stream, args, columns, method):
+    """Columns of equal length under their names: a JSON array of one object
+    per row, or a CSV header and rows.
+
+    Written a column at a time, with the bytes of json.dumps(indent=2) over one
+    object per row and of _fmt per CSV cell. A column of finite floats is
+    formatted by the row template itself (float repr for JSON, _fmt's 12
+    significant digits for CSV); any other column is encoded first, once per
+    distinct value.
+    """
+    csv = args.output == "csv"
+    encode, float_format = (_fmt, "{:.12g}") if csv else (json.dumps, "{!r}")
+    formats, values = [], []
+    for column in columns.values():
+        types = set(map(type, column))
+        if types <= {float} and all(map(math.isfinite, column)):
+            formats.append(float_format)
+            values.append(column)
+            continue
+        keys = column if types <= _SELF_KEYED else list(map(repr, column))
+        text = {key: encode(x) for key, x in dict(zip(keys, column)).items()}
+        formats.append("{}")
+        values.append(list(map(text.__getitem__, keys)))
+    metadata = _metadata(args, method)
+    if csv:
+        template = ",".join(formats) + "\n"
+        stream.write("".join(f"# {key}={value}\n" for key, value in metadata.items()))
+        stream.write(",".join(map(_fmt, columns)) + "\n")
+        stream.write("".join(map(template.format, *values)))
+        return
+    metadata["result"] = []
+    # "result" is the envelope's last key, so its "[]" is the last one
+    head, _, tail = json.dumps(metadata, indent=2).rpartition("[]")
+    names = [json.dumps(name).replace("{", "{{").replace("}", "}}") for name in columns]
+    template = "    {{\n" + ",\n".join(
+        f"      {name}: {field}" for name, field in zip(names, formats)) + "\n    }}"
+    rows = ",\n".join(map(template.format, *values))
+    stream.write(f"{head}[\n{rows}\n  ]{tail}\n" if rows else f"{head}[]{tail}\n")
 
 
 def _emit_record(stream, args, record, method):
     """One result object: the JSON envelope, or a CSV header and value row."""
     if args.output == "csv":
-        values = [json.dumps(v) if isinstance(v, dict) else v for v in record.values()]
-        _emit_csv(stream, args, [list(record), values], method)
+        _emit_table(stream, args, {key: [json.dumps(v) if isinstance(v, dict) else v]
+                                   for key, v in record.items()}, method)
     else:
         _emit_json(stream, args, record, method)
 
@@ -160,8 +189,8 @@ def _cmd_rank(args, doc, stream):
     table = rank_prospects(target, prospects, n=args.samples, seed=args.seed,
                            workers=resolve_workers(args.workers))
     if args.output == "csv":
-        head = [f.name for f in fields(RankingRow)]
-        _emit_csv(stream, args, [head, *map(astuple, table.rows)], "ranking")
+        _emit_table(stream, args, {f.name: [getattr(row, f.name) for row in table.rows]
+                                   for f in fields(RankingRow)}, "ranking")
     else:
         _emit_json(stream, args, asdict(table), "ranking")
     return 0
@@ -171,16 +200,16 @@ def _cmd_sample(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
     columns = copula_sample(spec, args.seed, args.samples,
                             workers=resolve_workers(args.workers))
-    _emit_table(stream, args, list(columns), zip(*columns.values()), "philox_sampler")
+    _emit_table(stream, args, columns, "philox_sampler")
     return 0
 
 
 def _cmd_verify(args, doc, stream):
     report = run_verification(n=args.samples, seed=args.seed)
     if args.output == "csv":
-        body = [["check", "passed"]]
-        body += [[c["name"], c["passed"]] for c in report["checks"]]
-        _emit_csv(stream, args, body, "oracle_suite")
+        checks = report["checks"]
+        _emit_table(stream, args, {"check": [c["name"] for c in checks],
+                                   "passed": [c["passed"] for c in checks]}, "oracle_suite")
     else:
         _emit_json(stream, args, report, "oracle_suite")
     return 0
@@ -198,8 +227,8 @@ def _cmd_curve(args, doc, stream):
     g1, g2 = _marginals(doc)
     if "values" in doc:
         values = doc["values"]
-        if not isinstance(values, list):
-            raise SpecError(f"'values' must be an array, got {values!r}")
+        if not isinstance(values, list) or not values:
+            raise SpecError(f"'values' must be a non-empty array, got {values!r}")
     else:
         bounds = [_need(doc, k) for k in ("start", "stop", "step")]
         try:
@@ -217,12 +246,12 @@ def _cmd_curve(args, doc, stream):
                             f"got {count}")
         values = [round(start + i * step, 12) + 0.0 for i in range(count)]
     specs = [copula_from_json({"node": family, param: x}) for x in values]
-    rows = []
-    for spec in specs:
-        rep = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
-                              tol=args.tol, workers=resolve_workers(args.workers))
-        rows.append([getattr(spec, param), rep.eta, rep.xi, rep.method])
-    _emit_table(stream, args, [param, "eta", "xi", "method"], rows, "curve")
+    reports = [best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed, tol=args.tol,
+                               workers=resolve_workers(args.workers)) for spec in specs]
+    _emit_table(stream, args, {param: [getattr(spec, param) for spec in specs],
+                               "eta": [rep.eta for rep in reports],
+                               "xi": [rep.xi for rep in reports],
+                               "method": [rep.method for rep in reports]}, "curve")
     return 0
 
 
@@ -256,6 +285,8 @@ def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise SpecError(f"--tol must be a finite number >= 0, got {args.tol}")
+    if args.seed < 0:
+        raise SpecError(f"--seed must be >= 0, got {args.seed}")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise SpecError(f"--samples must lie in [1, {MAX_SAMPLES}], got {args.samples}")
     if args.grid > MAX_GRID:

@@ -1,5 +1,6 @@
 """CLI: schemas, dispatch, output formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -9,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spcop.cli import CURVE_VALUE_BUDGET, main, run
+from spcop.cli import CURVE_VALUE_BUDGET, _emit_table, _metadata, main, run
 from spcop.errors import SpecError
 from spcop.rng import MAX_WORKERS, resolve_workers
 
@@ -322,6 +324,63 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def row_writer(stream, args, columns, method):
+    """The table writer the column writer replaced: json.dumps(indent=2) over
+    one object per row, or the CSV format of one cell at a time."""
+    def fmt(x):
+        if isinstance(x, float):
+            return f"{x:.12g}"
+        if isinstance(x, tuple):
+            return "|".join(x)
+        return str(x)
+
+    head, rows = list(columns), list(zip(*columns.values()))
+    envelope = _metadata(args, method)
+    if args.output == "csv":
+        for key, value in envelope.items():
+            stream.write(f"# {key}={value}\n")
+        for row in [head, *rows]:
+            stream.write(",".join(fmt(c) for c in row))
+            stream.write("\n")
+    else:
+        envelope["result"] = [dict(zip(head, row)) for row in rows]
+        stream.write(json.dumps(envelope, indent=2))
+        stream.write("\n")
+
+
+# quotes, backslashes, commas, braces, brackets and non-ASCII text, besides any character
+TABLE_TEXT = st.text(st.sampled_from('a"\\,{}[]:\né€') | st.characters(), max_size=6)
+TABLE_CELLS = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),  # also ±0.0, NaN and ±inf
+    st.sampled_from([0.0, -0.0, 1.0, 1, True, False, None, float("nan"), float("inf")]),
+    st.integers(),
+    st.booleans() | st.integers(0, 2),
+    st.booleans() | st.integers() | st.none() | TABLE_TEXT | st.floats(),
+    st.sampled_from(["singular", "absolutely_continuous"]),
+    TABLE_TEXT,
+])
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.just(1) | st.integers(2, 60))
+    names = draw(st.lists(TABLE_TEXT, min_size=1, max_size=5, unique=True))
+    return {name: draw(st.lists(draw(TABLE_CELLS), min_size=rows, max_size=rows))
+            for name in names}
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(columns=tables(), method=TABLE_TEXT)
+def test_column_writer_matches_row_writer(output, columns, method):
+    args = argparse.Namespace(command="sample", seed=0, samples=1, workers=1, output=output)
+    new, old = io.StringIO(), io.StringIO()
+    _emit_table(new, args, columns, method)
+    row_writer(old, args, columns, method)
+    assert new.getvalue() == old.getvalue()
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("command,text", [
         ("eta", '{"copula": {"node": "shuffle", "gamma": 1%s}}' % ("0" * 400)),
@@ -402,6 +461,22 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option}")
+
+    @pytest.mark.parametrize("command", ["sample", "eta"])
+    def test_negative_seed_is_exit_1(self, tmp_path, capsys, command):
+        spec = write_doc(tmp_path, "mc.json", GOLDEN_ETA["monte_carlo"])
+        assert main([command, "--spec", spec, "--samples", "20000", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed")
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_curve_empty_values_is_exit_1(self, tmp_path, capsys, output):
+        spec = write_doc(tmp_path, "c.json", {"family": "shuffle", "values": []})
+        assert main(["curve", "--spec", spec, "--output", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_tol_zero_is_accepted(self, tmp_path):
         spec = write_doc(tmp_path, "q.json", {
