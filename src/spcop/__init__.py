@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 from .copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
                      Independence, MarshallOlkinConnecting,
                      MarshallOlkinSurvival, Mixture, OrderStatistics, Shuffle,
-                     SurvivalOf, Transpose, copula_cdf, copula_from_json,
-                     copula_sample, copula_to_json, mix, rect_measure,
-                     sample_uv, singular_mass, survival_of, transpose,
-                     validate_copula)
+                     SurvivalOf, Transpose, copula_from_json, copula_sample,
+                     copula_to_json, rect_measure, sample_uv, survival_of,
+                     transpose, validate_copula)
 from .dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                    OrderCheckResult, PiecewiseLinearCdf, Uniform, UniformPower,
                    check_order, dist_from_json, dist_to_json, pointwise_min_cdf)

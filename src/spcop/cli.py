@@ -73,15 +73,22 @@ def _marginals(doc):
 
 def _metadata(args, method):
     return {"command": args.command, "tool_version": __version__, "seed": args.seed,
-            "samples": args.samples, "workers": resolve_workers(args.workers),
-            "method": method}
+            "samples": args.samples, "workers": args.workers, "method": method}
 
 
-def _emit_json(stream, args, result, method):
-    envelope = _metadata(args, method)
-    envelope["result"] = result
-    stream.write(json.dumps(envelope, indent=2))
-    stream.write("\n")
+def _emit(stream, args, method, record=None, table=None):
+    """Write a command's result, a record (one result object), a table
+    (columns of equal length) or both. JSON writes the record as the envelope's
+    result, or else the table; CSV writes the table, or else the record as a
+    one-row table, with the record's warnings as '# warning=' lines."""
+    if args.output == "json" and record is not None:
+        envelope = _metadata(args, method)
+        envelope["result"] = record
+        stream.write(json.dumps(envelope, indent=2) + "\n")
+        return
+    if table is None:
+        table = {key: [json.dumps(v) if isinstance(v, dict) else v] for key, v in record.items()}
+    _emit_table(stream, args, table, method, (record or {}).get("warnings", ()))
 
 
 # equal values of these types print alike (unlike 1, 1.0 and True, or 0.0 and
@@ -89,9 +96,10 @@ def _emit_json(stream, args, result, method):
 _SELF_KEYED = {str, bool, type(None)}
 
 
-def _emit_table(stream, args, columns, method):
+def _emit_table(stream, args, columns, method, warnings=()):
     """Columns of equal length under their names: a JSON array of one object
-    per row, or a CSV header and rows.
+    per row, or a CSV header and rows (the '#' head ends with one
+    '# warning=' line per entry of warnings).
 
     Written a column at a time, with the bytes of json.dumps(indent=2) over one
     object per row and of _fmt per CSV cell. A column of finite floats is
@@ -116,6 +124,7 @@ def _emit_table(stream, args, columns, method):
     if csv:
         template = ",".join(formats) + "\n"
         stream.write("".join(f"# {key}={value}\n" for key, value in metadata.items()))
+        stream.write("".join(f"# warning={note}\n" for note in warnings))
         stream.write(",".join(map(_fmt, columns)) + "\n")
         stream.write("".join(map(template.format, *values)))
         return
@@ -129,25 +138,15 @@ def _emit_table(stream, args, columns, method):
     stream.write(f"{head}[\n{rows}\n  ]{tail}\n" if rows else f"{head}[]{tail}\n")
 
 
-def _emit_record(stream, args, record, method):
-    """One result object: the JSON envelope, or a CSV header and value row."""
-    if args.output == "csv":
-        _emit_table(stream, args, {key: [json.dumps(v) if isinstance(v, dict) else v]
-                                   for key, v in record.items()}, method)
-    else:
-        _emit_json(stream, args, record, method)
-
-
 def _cmd_eta(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
     g1, g2 = _marginals(doc)
-    workers = resolve_workers(args.workers)
     exit_code = 0
     level = None
     if args.gamma is not None and g1 is not None:
         try:
             checked = sp_level(spec, g1, g2, args.gamma, n=args.samples, seed=args.seed,
-                               workers=workers, tol=args.tol)
+                               workers=args.workers, tol=args.tol)
             report = checked.report
             level = {"gamma": args.gamma, "holds": checked.holds}
         except Inconclusive as exc:
@@ -156,11 +155,11 @@ def _cmd_eta(args, doc, stream):
             exit_code = 2
     else:
         report = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
-                                 tol=args.tol, workers=workers)
+                                 tol=args.tol, workers=args.workers)
     result = asdict(report)
     if level is not None:
         result["sp_level"] = level
-    _emit_record(stream, args, result, report.method)
+    _emit(stream, args, report.method, record=result)
     return exit_code
 
 
@@ -168,15 +167,15 @@ def _cmd_classify(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
     if args.gamma is None:
         raise SpecError("classify needs --gamma")
-    _emit_record(stream, args, asdict(classify(spec, args.gamma, tol=args.tol)), "closed_form")
+    _emit(stream, args, "closed_form", record=asdict(classify(spec, args.gamma, tol=args.tol)))
     return 0
 
 
 def _cmd_order(args, doc, stream):
     g1 = dist_from_json(_need(doc, "g1"))
     g2 = dist_from_json(_need(doc, "g2"))
-    _emit_record(stream, args, asdict(check_order(args.relation, g1, g2, grid=args.grid)),
-                 "order_check")
+    _emit(stream, args, "order_check",
+          record=asdict(check_order(args.relation, g1, g2, grid=args.grid)))
     return 0
 
 
@@ -187,31 +186,25 @@ def _cmd_rank(args, doc, stream):
         raise SpecError(f"'prospects' must be an array, got {prospects!r}")
     prospects = [Prospect.from_json(p) for p in prospects]
     table = rank_prospects(target, prospects, n=args.samples, seed=args.seed,
-                           workers=resolve_workers(args.workers))
-    if args.output == "csv":
-        _emit_table(stream, args, {f.name: [getattr(row, f.name) for row in table.rows]
-                                   for f in fields(RankingRow)}, "ranking")
-    else:
-        _emit_json(stream, args, asdict(table), "ranking")
+                           workers=args.workers)
+    _emit(stream, args, "ranking", record=asdict(table),
+          table={f.name: [getattr(row, f.name) for row in table.rows]
+                 for f in fields(RankingRow)})
     return 0
 
 
 def _cmd_sample(args, doc, stream):
     spec = copula_from_json(_need(doc, "copula"))
-    columns = copula_sample(spec, args.seed, args.samples,
-                            workers=resolve_workers(args.workers))
-    _emit_table(stream, args, columns, "philox_sampler")
+    _emit(stream, args, "philox_sampler",
+          table=copula_sample(spec, args.seed, args.samples, workers=args.workers))
     return 0
 
 
 def _cmd_verify(args, doc, stream):
     report = run_verification(n=args.samples, seed=args.seed)
-    if args.output == "csv":
-        checks = report["checks"]
-        _emit_table(stream, args, {"check": [c["name"] for c in checks],
-                                   "passed": [c["passed"] for c in checks]}, "oracle_suite")
-    else:
-        _emit_json(stream, args, report, "oracle_suite")
+    checks = report["checks"]
+    _emit(stream, args, "oracle_suite", record=report,
+          table={"check": [c["name"] for c in checks], "passed": [c["passed"] for c in checks]})
     return 0
 
 
@@ -247,11 +240,11 @@ def _cmd_curve(args, doc, stream):
         values = [round(start + i * step, 12) + 0.0 for i in range(count)]
     specs = [copula_from_json({"node": family, param: x}) for x in values]
     reports = [best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed, tol=args.tol,
-                               workers=resolve_workers(args.workers)) for spec in specs]
-    _emit_table(stream, args, {param: [getattr(spec, param) for spec in specs],
-                               "eta": [rep.eta for rep in reports],
-                               "xi": [rep.xi for rep in reports],
-                               "method": [rep.method for rep in reports]}, "curve")
+                               workers=args.workers) for spec in specs]
+    _emit(stream, args, "curve", table={param: [getattr(spec, param) for spec in specs],
+                                        "eta": [rep.eta for rep in reports],
+                                        "xi": [rep.xi for rep in reports],
+                                        "method": [rep.method for rep in reports]})
     return 0
 
 
@@ -291,6 +284,7 @@ def run(argv, stream) -> int:
         raise SpecError(f"--samples must lie in [1, {MAX_SAMPLES}], got {args.samples}")
     if args.grid > MAX_GRID:
         raise SpecError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+    args.workers = resolve_workers(args.workers)
     if args.command != "verify" and args.spec is None:
         raise SpecError(f"{args.command} needs --spec <path>")
     doc = _load_doc(args.spec)

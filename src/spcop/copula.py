@@ -24,8 +24,8 @@ __all__ = [
     "CopulaSpec", "Independence", "Comonotone", "Countermonotone", "Shuffle",
     "Gaussian", "MarshallOlkinSurvival", "MarshallOlkinConnecting",
     "OrderStatistics", "Mixture", "Transpose", "SurvivalOf",
-    "copula_cdf", "rect_measure", "copula_sample", "sample_uv", "singular_mass",
-    "transpose", "survival_of", "mix", "validate_copula",
+    "rect_measure", "copula_sample", "sample_uv", "transpose", "survival_of",
+    "validate_copula",
     "copula_to_json", "copula_from_json", "COPULA_NODES",
 ]
 
@@ -35,12 +35,16 @@ _GL_W = 0.5 * _GL_WEIGHTS
 _TAIL_DEPTH = 16.6                         # phi mass beyond it is < 1e-19
 _UV_CLAMP = 1e-13                          # copulas are 1-Lipschitz per argument
 _CDF_BLOCK = 128                           # Gaussian cdf points per panel pass
+_AXIOM_TOL = 1e-9                          # validate_copula's allowance per check
+_MAX_VIOLATIONS = 50                       # violation records validate_copula keeps
 
 
 class CopulaSpec:
     """Base node. All copula operations are pure; specs are hashable values."""
 
     node: str = ""
+    # True: no singular part, so singular mass 0 and the conditional cdfs exist
+    absolutely_continuous: bool = False
 
     def cdf(self, u, v):
         raise NotImplementedError
@@ -50,6 +54,8 @@ class CopulaSpec:
         raise NotImplementedError
 
     def singular_mass(self) -> float:
+        if self.absolutely_continuous:
+            return 0.0
         raise UnknownMass(self.node)
 
     def closed_eta_xi(self):
@@ -69,10 +75,6 @@ class CopulaSpec:
         """d/dv C(u,v); defined only for absolutely continuous families."""
         raise NoDensity(f"{self.node} has a singular component")
 
-    @property
-    def absolutely_continuous(self) -> bool:
-        return False
-
     def simplified(self) -> "CopulaSpec":
         """This node with a transform applied twice in a row removed."""
         return self
@@ -81,6 +83,7 @@ class CopulaSpec:
 @dataclass(frozen=True)
 class Independence(CopulaSpec):
     node = "independence"
+    absolutely_continuous = True
 
     def cdf(self, u, v):
         return np.asarray(u, dtype=float) * np.asarray(v, dtype=float)
@@ -91,9 +94,6 @@ class Independence(CopulaSpec):
         z = np.zeros(n, dtype=bool)
         return u, v, z, z.copy()
 
-    def singular_mass(self):
-        return 0.0
-
     def closed_eta_xi(self):
         return 0.5, 0.0
 
@@ -102,10 +102,6 @@ class Independence(CopulaSpec):
 
     def conditional_cdf_second(self, u, v):
         return np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))[0].copy()
-
-    @property
-    def absolutely_continuous(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -213,6 +209,7 @@ def _gauss_panels(a, b, rho, s):
 class Gaussian(CopulaSpec):
     rho: float
     node = "gaussian"
+    absolutely_continuous = True
 
     def __post_init__(self):
         if not (-1.0 < self.rho < 1.0):
@@ -264,9 +261,6 @@ class Gaussian(CopulaSpec):
         z = np.zeros(n, dtype=bool)
         return u, v, z, z.copy()
 
-    def singular_mass(self):
-        return 0.0
-
     def closed_eta_xi(self):
         return 0.5, 0.0
 
@@ -288,10 +282,6 @@ class Gaussian(CopulaSpec):
 
     def conditional_cdf_second(self, u, v):
         return self.conditional_cdf(v, u)
-
-    @property
-    def absolutely_continuous(self):
-        return True
 
 
 def _mo_validate(alpha1, alpha2):
@@ -350,10 +340,11 @@ class OrderStatistics(CopulaSpec):
 
     Fully absolutely continuous: the density 1/(2 sqrt(v) sqrt(1-u)) on
     {v > (1-sqrt(1-u))^2} integrates to exactly 1, so the boundary curve
-    carries no mass and the registry stores singular mass 0.
+    carries no mass and the singular mass is 0.
     """
 
     node = "order_statistics"
+    absolutely_continuous = True
 
     def cdf(self, u, v):
         u = np.asarray(u, dtype=float)
@@ -372,9 +363,6 @@ class OrderStatistics(CopulaSpec):
         v = t * t
         z = np.zeros(n, dtype=bool)
         return u, v, z, z.copy()
-
-    def singular_mass(self):
-        return 0.0
 
     def closed_eta_xi(self):
         return 2.0 - math.pi / 2.0, 0.0
@@ -401,10 +389,6 @@ class OrderStatistics(CopulaSpec):
         sv = np.sqrt(v)
         above = sv >= r
         return np.where(above, np.clip(r / sv, 0.0, 1.0), 1.0)
-
-    @property
-    def absolutely_continuous(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -581,14 +565,6 @@ class MarshallOlkinConnecting(_Involution, CopulaSpec):
 # operations
 
 
-def copula_cdf(spec: CopulaSpec, u, v):
-    """C(u,v), elementwise over scalars or broadcastable arrays."""
-    res = spec.cdf(u, v)
-    if np.ndim(u) == 0 and np.ndim(v) == 0:
-        return float(res)
-    return res
-
-
 def rect_measure(spec: CopulaSpec, u1, u2, v1, v2):
     """C-mass of [u1,u2] x [v1,v2] by inclusion-exclusion."""
     if np.any(np.asarray(u1) > np.asarray(u2)) or np.any(np.asarray(v1) > np.asarray(v2)):
@@ -622,10 +598,6 @@ def copula_sample(spec: CopulaSpec, seed: int, n: int, workers: int = 1) -> dict
             "structural_tie": tie.tolist()}
 
 
-def singular_mass(spec: CopulaSpec) -> float:
-    return spec.singular_mass()
-
-
 def transpose(spec: CopulaSpec) -> CopulaSpec:
     return Transpose(spec).simplified()
 
@@ -634,12 +606,7 @@ def survival_of(spec: CopulaSpec) -> CopulaSpec:
     return SurvivalOf(spec).simplified()
 
 
-def mix(specs, weights) -> CopulaSpec:
-    return Mixture(tuple(specs), tuple(weights))
-
-
-def validate_copula(spec: CopulaSpec, grid: int = 64, tol: float = 1e-9,
-                    max_violations: int = 50) -> list[dict]:
+def validate_copula(spec: CopulaSpec, grid: int = 64) -> list[dict]:
     """Numerically check the copula axioms on a (grid+1)^2 lattice.
 
     Returns a list of violation records, empty on pass: boundary identities,
@@ -651,7 +618,7 @@ def validate_copula(spec: CopulaSpec, grid: int = 64, tol: float = 1e-9,
     out = []
 
     def report(check, u, v, value):
-        if len(out) < max_violations:
+        if len(out) < _MAX_VIOLATIONS:
             out.append({"check": check, "u": float(u), "v": float(v), "value": float(value)})
 
     c_u0 = np.asarray(spec.cdf(ts, np.zeros_like(ts)))
@@ -659,29 +626,29 @@ def validate_copula(spec: CopulaSpec, grid: int = 64, tol: float = 1e-9,
     c_u1 = np.asarray(spec.cdf(ts, np.ones_like(ts)))
     c_1v = np.asarray(spec.cdf(np.ones_like(ts), ts))
     for i, t in enumerate(ts):
-        if abs(c_u0[i]) > tol:
+        if abs(c_u0[i]) > _AXIOM_TOL:
             report("boundary C(u,0)=0", t, 0.0, c_u0[i])
-        if abs(c_0v[i]) > tol:
+        if abs(c_0v[i]) > _AXIOM_TOL:
             report("boundary C(0,v)=0", 0.0, t, c_0v[i])
-        if abs(c_u1[i] - t) > tol:
+        if abs(c_u1[i] - t) > _AXIOM_TOL:
             report("boundary C(u,1)=u", t, 1.0, c_u1[i])
-        if abs(c_1v[i] - t) > tol:
+        if abs(c_1v[i] - t) > _AXIOM_TOL:
             report("boundary C(1,v)=v", 1.0, t, c_1v[i])
 
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     cc = np.asarray(spec.cdf(uu, vv))
     masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
-    bad = np.argwhere(masses < -tol)
-    for i, j in bad[:max_violations]:
+    bad = np.argwhere(masses < -_AXIOM_TOL)
+    for i, j in bad[:_MAX_VIOLATIONS]:
         report("2-increasing", ts[i], ts[j], masses[i, j])
 
     lower = np.maximum(uu + vv - 1.0, 0.0)
     upper = np.minimum(uu, vv)
-    low_bad = np.argwhere(cc < lower - tol)
-    for i, j in low_bad[:max_violations]:
+    low_bad = np.argwhere(cc < lower - _AXIOM_TOL)
+    for i, j in low_bad[:_MAX_VIOLATIONS]:
         report("frechet lower", ts[i], ts[j], cc[i, j] - lower[i, j])
-    up_bad = np.argwhere(cc > upper + tol)
-    for i, j in up_bad[:max_violations]:
+    up_bad = np.argwhere(cc > upper + _AXIOM_TOL)
+    for i, j in up_bad[:_MAX_VIOLATIONS]:
         report("frechet upper", ts[i], ts[j], cc[i, j] - upper[i, j])
     return out
 

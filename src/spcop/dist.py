@@ -10,7 +10,7 @@ support (+-inf sentinels on unbounded sides, never produced by samplers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+_MIN_CDF_GRID = 512  # quantile-grid size of pointwise_min_cdf
 
 
 def _as_array(x):
@@ -488,6 +489,13 @@ def _log_survival(g, ts):
         return np.log(np.maximum(g.survival(ts), 0.0))
 
 
+def _log_ratio(log_fn, g1, g2, t):
+    """log_fn(g2) - log_fn(g1) at the one point t."""
+    arr = np.array([t])
+    with np.errstate(invalid="ignore"):
+        return float((log_fn(g2, arr) - log_fn(g1, arr))[0])
+
+
 def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 512) -> OrderCheckResult:
     """Verify g1 <= g2 in the st / hr / lr sense on a quantile-spaced grid.
 
@@ -510,16 +518,10 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
             return OrderCheckResult(relation, holds, witness, grid)
         ts = quantile_grid((g1, g2), grid)
         log_fn = _log_density if relation == "lr" else _log_survival
-
-        def ratio_fn(t):
-            arr = np.array([t])
-            with np.errstate(invalid="ignore"):
-                return float((log_fn(g2, arr) - log_fn(g1, arr))[0])
-
         l1, l2 = log_fn(g1, ts), log_fn(g2, ts)
         with np.errstate(invalid="ignore"):  # -inf minus -inf where both vanish
             vals = np.where(np.isneginf(l1) & np.isneginf(l2), np.nan, l2 - l1)
-        holds, witness = _ratio_monotone(vals, ts, ratio_fn)
+        holds, witness = _ratio_monotone(vals, ts, partial(_log_ratio, log_fn, g1, g2))
         return OrderCheckResult(relation, holds, witness, grid)
 
     analytic = _same_family_st(g1, g2)
@@ -542,12 +544,7 @@ def order_holds_at(relation: str, g1: Distribution, g2: Distribution, t: float) 
     if relation == "st":
         return g1.cdf(t) >= g2.cdf(t) - _EPS
     log_fn = _log_survival if relation == "hr" else _log_density
-
-    def ratio(x):
-        a = np.array([x])
-        with np.errstate(invalid="ignore"):
-            return float((log_fn(g2, a) - log_fn(g1, a))[0])
-
+    ratio = partial(_log_ratio, log_fn, g1, g2)
     r0 = ratio(t)
     scale = max(1.0, abs(t))
     for step in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
@@ -563,7 +560,7 @@ def order_holds_at(relation: str, g1: Distribution, g2: Distribution, t: float) 
 # pointwise minimum of two cdfs
 
 
-def pointwise_min_cdf(g: Distribution, h: Distribution, grid: int = 512) -> Distribution:
+def pointwise_min_cdf(g: Distribution, h: Distribution) -> Distribution:
     """A distribution whose cdf is min{G, H} on the evaluation grid.
 
     Returns one of the inputs exactly when it is dominated everywhere, the
@@ -571,7 +568,7 @@ def pointwise_min_cdf(g: Distribution, h: Distribution, grid: int = 512) -> Dist
     interpolant through the grid minima otherwise. The result st-dominates
     both inputs (its cdf is the pointwise floor of theirs).
     """
-    ts = quantile_grid((g, h), grid)
+    ts = quantile_grid((g, h), _MIN_CDF_GRID)
     gv, hv = g.cdf(ts), h.cdf(ts)
     if np.all(gv <= hv + _EPS):
         return g

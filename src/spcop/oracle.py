@@ -26,6 +26,10 @@ __all__ = [
     "grid_eta_oracle", "run_verification",
 ]
 
+_CHECK_GRID = 32  # points of the load-sharing and order-statistics curve checks
+# (alpha1, alpha2) of the survival-form eta audit: one per branch, and the diagonal
+_AUDIT_PAIRS = ((0.4, 0.2), (0.2, 0.4), (0.3, 0.3))
+
 
 @dataclass(frozen=True)
 class LoadSharingModel:
@@ -60,8 +64,7 @@ def load_sharing_survival(model: LoadSharingModel, x):
     return (1.0 - k) * np.exp(-(1.0 + lam) * x) + k * np.exp(-beta * x)
 
 
-def load_sharing_checks(model: LoadSharingModel, n: int, seed: int,
-                        grid: int = 32) -> dict:
+def load_sharing_checks(model: LoadSharingModel, n: int, seed: int) -> dict:
     """Differential checks for the load-sharing pair.
 
     Note the dominance check reports what the data shows: the closed-form
@@ -75,7 +78,7 @@ def load_sharing_checks(model: LoadSharingModel, n: int, seed: int,
     se = math.sqrt(p_le * (1.0 - p_le) / n)
 
     # quantile-spaced grid of Y's scale covering the bulk of both laws
-    qs = (np.arange(grid) + 0.5) / grid
+    qs = (np.arange(_CHECK_GRID) + 0.5) / _CHECK_GRID
     ts = -np.log1p(-qs) / model.lam
     emp_surv = np.array([np.mean(x > t) for t in ts])
     closed = load_sharing_survival(model, ts)
@@ -108,7 +111,7 @@ def order_stats_triple_sample(n: int, seed: int, base: Distribution = Uniform(0.
     return t, x_prime, x_double
 
 
-def order_stats_checks(n: int, seed: int, grid: int = 32) -> dict:
+def order_stats_checks(n: int, seed: int) -> dict:
     t, xp, xpp = order_stats_triple_sample(n, seed)
     p1 = float(np.mean(t <= xp))
     p2 = float(np.mean(t <= xpp))
@@ -117,7 +120,7 @@ def order_stats_checks(n: int, seed: int, grid: int = 32) -> dict:
     xs = np.linspace(0.0, 1.0, 20001)
     integrand = (1.0 - (1.0 - xs) ** 2) * 3.0 * xs ** 2
     p2_oracle = float(np.trapezoid(integrand, xs))
-    ts = (np.arange(grid) + 1.0) / (grid + 1.0)
+    ts = (np.arange(_CHECK_GRID) + 1.0) / (_CHECK_GRID + 1.0)
     cdf_p = np.array([np.mean(xp <= s) for s in ts])
     cdf_pp = np.array([np.mean(xpp <= s) for s in ts])
     dkw = 4.0 / math.sqrt(n)
@@ -182,8 +185,7 @@ def mo_checks(alpha1: float, alpha2: float, n: int, seed: int) -> dict:
     }
 
 
-def mo_survival_eta_audit(n: int, seed: int,
-                          pairs=((0.4, 0.2), (0.2, 0.4), (0.3, 0.3))) -> dict:
+def mo_survival_eta_audit(n: int, seed: int) -> dict:
     """Audit the piecewise closed form of eta for the survival-form copula.
 
     MC estimates come from the raw construction mapped through the survival
@@ -192,7 +194,7 @@ def mo_survival_eta_audit(n: int, seed: int,
     audit records which branch the measurement selects.
     """
     rows = []
-    for i, (a1, a2) in enumerate(pairs):
+    for i, (a1, a2) in enumerate(_AUDIT_PAIRS):
         x1, x2, _ = mo_construction_sample(a1, a2, n, seed + i)
         u = np.exp(-x1 / a1)
         v = np.exp(-x2 / a2)

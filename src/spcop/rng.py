@@ -51,12 +51,12 @@ def clip_open(u: np.ndarray) -> np.ndarray:
 
 def resolve_workers(workers=None) -> int:
     workers = 1 if workers is None else int(workers)
-    if workers > MAX_WORKERS:
-        raise SpecError(f"at most {MAX_WORKERS} workers, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise SpecError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     cap = os.environ.get("SP_COPULA_THREADS")
     if cap:
         try:
             workers = min(workers, max(1, int(cap)))
         except ValueError as exc:
             raise SpecError(f"SP_COPULA_THREADS must be an integer, got {cap!r}") from exc
-    return max(1, workers)
+    return workers

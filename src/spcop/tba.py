@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codec import number
-from .copula import CopulaSpec, copula_from_json, copula_to_json
-from .dist import Distribution, check_order, dist_from_json, dist_to_json
+from .copula import CopulaSpec, copula_from_json
+from .dist import Distribution, check_order, dist_from_json
 from .errors import SpecError
 from .precedence import best_eta_report
 
@@ -45,14 +45,6 @@ class Prospect:
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"prospect gamma_bound must be a number: {exc}") from exc
         return Prospect(doc["name"], dist_from_json(doc["marginal"]), cop, gb)
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "marginal": dist_to_json(self.marginal)}
-        if self.copula is not None:
-            out["copula"] = copula_to_json(self.copula)
-        if self.gamma_bound is not None:
-            out["gamma_bound"] = self.gamma_bound
-        return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 
 from spcop.copula import (Comonotone, Countermonotone, Gaussian, Independence,
                           MarshallOlkinConnecting, MarshallOlkinSurvival,
-                          OrderStatistics, Shuffle, mix, sample_uv,
+                          Mixture, OrderStatistics, Shuffle, sample_uv,
                           survival_of, transpose, validate_copula)
 from spcop.cli import run as cli_run
 from spcop.dist import DiscreteAtoms, Exponential, Normal, Uniform
@@ -145,7 +145,7 @@ def test_criterion_06_mixture_linearity(acceptance):
         c1 = pool[rng.integers(len(pool))]
         c2 = pool[rng.integers(len(pool))]
         a = float(rng.uniform(0.02, 0.98))
-        eta, xi = eta_exact(mix([c1, c2], [a, 1.0 - a]))
+        eta, xi = eta_exact(Mixture([c1, c2], [a, 1.0 - a]))
         e1, x1 = eta_exact(c1)
         e2, x2 = eta_exact(c2)
         worst = max(worst, abs(eta - (a * e1 + (1 - a) * e2)),
@@ -295,7 +295,7 @@ def test_criterion_11_copula_validation(acceptance):
         all_pass = all_pass and not violations
         assert violations == [], spec
     rng = np.random.default_rng(116)
-    specs = REGISTRY + [mix([Shuffle(0.6), Gaussian(-0.7)], [0.5, 0.5]),
+    specs = REGISTRY + [Mixture([Shuffle(0.6), Gaussian(-0.7)], [0.5, 0.5]),
                         survival_of(MarshallOlkinSurvival(0.8, 0.3))]
     per_spec = 100_000 // len(specs)
     worst = 0.0

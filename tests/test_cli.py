@@ -131,6 +131,14 @@ class TestRankAndSample:
             "exact,0.3,exact,0,",
             "vacuous,0,lower_bound,0,st_check_failed|incomparable"]
 
+    def test_rank_csv_carries_the_notes(self, tmp_path):
+        spec = write_doc(tmp_path, "r.json", MIXED_RANKING)
+        code, out = invoke(["rank", "--spec", spec, "--output", "csv"])
+        head = [l for l in out.splitlines() if l.startswith("#")]
+        assert head[-3] == "# method=ranking"
+        assert head[-2].startswith("# warning=ranking mixes exact/estimated eta values")
+        assert head[-1].startswith("# warning=prospect 'vacuous': no st-ordering")
+
     @pytest.mark.parametrize("output", ["json", "csv"])
     def test_rank_mixed_table_leaves_stderr_empty(self, tmp_path, output):
         spec = write_doc(tmp_path, "r.json", MIXED_RANKING)
@@ -246,6 +254,18 @@ class TestDeterminism:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_worker_count_below_one_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SP_COPULA_THREADS", raising=False)
+        assert resolve_workers(None) == 1
+        for count in (0, -5):
+            with pytest.raises(SpecError):
+                resolve_workers(count)
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
+        for count in ("0", "-5"):
+            assert main(["sample", "--spec", spec, "--samples", "10", "--workers", count]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_non_integer_thread_cap_is_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SP_COPULA_THREADS", "two")
         spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
@@ -295,7 +315,7 @@ class TestGoldenOutput:
         ("curve", GOLDEN_CURVE, ("--output", "csv"),
          "2939de6d0a04d52b5eadadaff87d9f118a36e1af7b0d53044ae468037a0f6ebf"),
         ("rank", MIXED_RANKING, ("--output", "csv"),
-         "93a8e6b38d978432b59571a7ae63729e4c2f6a61ad6f2f0ec1e1635cff010d45"),
+         "867d06d00a0e269232cfc4d288a635493fcefbcec45932180220d939b3843770"),
         ("eta", GOLDEN_ETA["closed_form"], (*ETA_ARGS, "--output", "json"),
          "59f50aa158918929ac88c7d37aba49dd311024e1a4b5c8f1b55d5941528a9c4a"),
         ("eta", GOLDEN_ETA["closed_form"], (*ETA_ARGS, "--output", "csv"),

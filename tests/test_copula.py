@@ -13,10 +13,9 @@ from spcop.copula import (_CDF_BLOCK, COPULA_NODES, Comonotone, CopulaSpec,
                           Countermonotone, Gaussian,
                           Independence, MarshallOlkinConnecting,
                           MarshallOlkinSurvival, Mixture, OrderStatistics,
-                          Shuffle, SurvivalOf, Transpose, copula_cdf,
-                          copula_from_json, copula_sample, copula_to_json,
-                          mix, rect_measure, sample_uv, singular_mass,
-                          survival_of, transpose, validate_copula)
+                          Shuffle, SurvivalOf, Transpose, copula_from_json,
+                          copula_sample, copula_to_json, rect_measure,
+                          sample_uv, survival_of, transpose, validate_copula)
 from spcop.errors import SpecError, UnknownMass, WeightError
 from spcop.integrate import integrate_adaptive
 
@@ -29,10 +28,10 @@ REGISTRY = [
 
 class TestCdf:
     def test_shuffle_formula(self):
-        assert copula_cdf(Shuffle(0.3), 0.5, 0.5) == pytest.approx(0.2, abs=1e-15)
+        assert Shuffle(0.3).cdf(0.5, 0.5) == pytest.approx(0.2, abs=1e-15)
 
     def test_mo_survival_point(self):
-        val = copula_cdf(MarshallOlkinSurvival(0.4, 0.2), 0.5, 0.5)
+        val = MarshallOlkinSurvival(0.4, 0.2).cdf(0.5, 0.5)
         assert val == pytest.approx(0.25 * 2 ** 0.2, abs=1e-12)
 
     @pytest.mark.parametrize("spec", REGISTRY, ids=lambda s: s.node)
@@ -55,7 +54,7 @@ class TestCdf:
     def test_gaussian_median_point(self):
         for rho in (-0.7, 0.3, 0.9):
             expect = 0.25 + math.asin(rho) / (2 * math.pi)
-            assert copula_cdf(Gaussian(rho), 0.5, 0.5) == pytest.approx(expect, abs=1e-12)
+            assert Gaussian(rho).cdf(0.5, 0.5) == pytest.approx(expect, abs=1e-12)
 
     def test_parameter_domains(self):
         with pytest.raises(SpecError):
@@ -182,12 +181,12 @@ class TestTransforms:
 
     def test_mix_weight_validation(self):
         with pytest.raises(WeightError):
-            mix([Independence(), Comonotone()], [0.6, 0.6])
+            Mixture([Independence(), Comonotone()], [0.6, 0.6])
         with pytest.raises(WeightError):
-            mix([Independence()], [0.5, 0.5])
+            Mixture([Independence()], [0.5, 0.5])
         for bad in (float("nan"), float("inf")):
             with pytest.raises(WeightError):
-                mix([Independence(), Comonotone()], [bad, 1.0])
+                Mixture([Independence(), Comonotone()], [bad, 1.0])
 
 
 class TestSampling:
@@ -224,7 +223,7 @@ class TestSampling:
         assert np.max(on_curve) < 1e-12
 
     def test_structural_tie_only_when_singular(self):
-        for spec in REGISTRY + [mix([Comonotone(), Independence()], [0.3, 0.7])]:
+        for spec in REGISTRY + [Mixture([Comonotone(), Independence()], [0.3, 0.7])]:
             _, _, sing, tie = sample_uv(spec, 5_000, seed=6)
             assert not np.any(tie & ~sing)
 
@@ -260,7 +259,7 @@ class TestSampling:
         assert not np.array_equal(a[0], c[0])  # split is part of the recorded config
 
     def test_mixture_sampling_components(self):
-        m = mix([Comonotone(), Independence()], [0.25, 0.75])
+        m = Mixture([Comonotone(), Independence()], [0.25, 0.75])
         u, v, sing, tie = sample_uv(m, 100_000, seed=10)
         assert np.mean(sing) == pytest.approx(0.25, abs=0.01)
         assert np.array_equal(u[tie], v[tie])
@@ -268,18 +267,18 @@ class TestSampling:
 
 class TestSingularMass:
     def test_examples(self):
-        assert singular_mass(MarshallOlkinSurvival(0.4, 0.2)) == pytest.approx(0.1538461538, abs=1e-9)
-        assert singular_mass(Independence()) == 0.0
-        assert singular_mass(mix([Independence(), Comonotone()], [0.5, 0.5])) == 0.5
+        assert MarshallOlkinSurvival(0.4, 0.2).singular_mass() == pytest.approx(0.1538461538, abs=1e-9)
+        assert Independence().singular_mass() == 0.0
+        assert Mixture([Independence(), Comonotone()], [0.5, 0.5]).singular_mass() == 0.5
 
     def test_families(self):
-        assert singular_mass(Comonotone()) == 1.0
-        assert singular_mass(Countermonotone()) == 1.0
-        assert singular_mass(Shuffle(0.7)) == 1.0
-        assert singular_mass(Gaussian(0.9)) == 0.0
-        assert singular_mass(OrderStatistics()) == 0.0
-        assert singular_mass(transpose(Shuffle(0.2))) == 1.0
-        assert singular_mass(survival_of(MarshallOlkinSurvival(0.5, 0.5))) == pytest.approx(1 / 3)
+        assert Comonotone().singular_mass() == 1.0
+        assert Countermonotone().singular_mass() == 1.0
+        assert Shuffle(0.7).singular_mass() == 1.0
+        assert Gaussian(0.9).singular_mass() == 0.0
+        assert OrderStatistics().singular_mass() == 0.0
+        assert transpose(Shuffle(0.2)).singular_mass() == 1.0
+        assert survival_of(MarshallOlkinSurvival(0.5, 0.5)).singular_mass() == pytest.approx(1 / 3)
 
     def test_order_statistics_density_integrates_to_one(self):
         # mass of the boundary curve = 1 - integral of the density over the
@@ -298,7 +297,7 @@ class TestSingularMass:
             node = "odd"
 
         with pytest.raises(UnknownMass):
-            singular_mass(Odd())
+            Odd().singular_mass()
 
 
 class TestValidation:
@@ -327,7 +326,7 @@ class TestValidation:
 
 class TestFrechetBounds:
     @pytest.mark.parametrize("spec", REGISTRY + [
-        mix([Shuffle(0.5), Gaussian(-0.3)], [0.4, 0.6]),
+        Mixture([Shuffle(0.5), Gaussian(-0.3)], [0.4, 0.6]),
         transpose(MarshallOlkinSurvival(0.7, 0.1)),
         survival_of(OrderStatistics()),
     ], ids=lambda s: s.node)
@@ -340,10 +339,21 @@ class TestFrechetBounds:
 
 
 JSON_EXAMPLES = {s.node: s for s in REGISTRY + [
-    mix([Independence(), Shuffle(0.25)], [0.5, 0.5]),
+    Mixture([Independence(), Shuffle(0.25)], [0.5, 0.5]),
     Transpose(Gaussian(0.1)),
     SurvivalOf(MarshallOlkinConnecting(0.2, 0.9)),
 ]}
+
+
+@pytest.mark.parametrize("node", sorted(COPULA_NODES))
+def test_cdf_is_pointwise(node):
+    # a grid call gives the bits of one call per point, so the cdf may be
+    # evaluated on any subset of a grid; 17 x 17 points span several Gaussian blocks
+    spec = JSON_EXAMPLES[node]
+    ts = np.concatenate([[0.0, 1.0], np.random.default_rng(13).random(15)])
+    grid = np.asarray(spec.cdf(ts[:, None], ts[None, :]), dtype=float)
+    points = np.array([[spec.cdf(u, v) for v in ts] for u in ts], dtype=float)
+    assert np.array_equal(grid.view(np.int64), points.view(np.int64))
 
 
 class TestJson:

@@ -8,7 +8,7 @@ import pytest
 
 from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Independence,
                           MarshallOlkinConnecting, MarshallOlkinSurvival,
-                          Mixture, OrderStatistics, Shuffle, mix, survival_of,
+                          Mixture, OrderStatistics, Shuffle, survival_of,
                           transpose)
 from spcop.dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                         Uniform, UniformPower)
@@ -61,8 +61,9 @@ class TestClosedForms:
         assert xi == pytest.approx(0.3 / 1.7, abs=1e-15)
 
     def test_transpose_survival_identity_closed(self):
-        wrapped = REGISTRY + [mix([Shuffle(0.2), Gaussian(-0.4)], [0.3, 0.7]),
-                              mix([Comonotone(), MarshallOlkinSurvival(0.5, 0.5)], [0.5, 0.5])]
+        wrapped = REGISTRY + [Mixture([Shuffle(0.2), Gaussian(-0.4)], [0.3, 0.7]),
+                              Mixture([Comonotone(), MarshallOlkinSurvival(0.5, 0.5)],
+                                      [0.5, 0.5])]
         for spec in wrapped:
             eta, xi = eta_exact(spec)
             for image in (transpose(spec), survival_of(spec)):
@@ -83,7 +84,7 @@ class TestClosedForms:
             c1 = pool[rng.integers(len(pool))]
             c2 = pool[rng.integers(len(pool))]
             a = float(rng.uniform(0.05, 0.95))
-            eta, xi = eta_exact(mix([c1, c2], [a, 1.0 - a]))
+            eta, xi = eta_exact(Mixture([c1, c2], [a, 1.0 - a]))
             e1, x1 = eta_exact(c1)
             e2, x2 = eta_exact(c2)
             assert eta == pytest.approx(a * e1 + (1 - a) * e2, abs=1e-10)
@@ -214,7 +215,7 @@ class TestQuadrature:
         assert abs(r.eta - 7.0 / 8.0) < 1e-9
 
     def test_mixture_of_continuous(self):
-        spec = mix([Independence(), Gaussian(0.4)], [0.5, 0.5])
+        spec = Mixture([Independence(), Gaussian(0.4)], [0.5, 0.5])
         r = eta_quadrature(spec, Normal(0, 1), Normal(0, 1), tol=1e-9)
         assert abs(r.eta - 0.5) < 1e-8
 

@@ -12,6 +12,10 @@ from spcop.errors import SpecError
 from spcop.tba import Prospect, rank_prospects
 
 
+BOUND_PROSPECT = {"name": "b", "marginal": {"kind": "uniform", "a": 0, "b": 1},
+                  "gamma_bound": 0.4}
+
+
 def phi(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
@@ -26,22 +30,20 @@ class TestProspect:
             Prospect("x", Uniform(0, 1), gamma_bound=1.5)
 
     def test_json_roundtrip(self):
-        p = Prospect("a", Normal(1, 1), copula=Gaussian(0.2))
-        assert Prospect.from_json(p.to_json()) == p
-        q = Prospect("b", Uniform(0, 1), gamma_bound=0.4)
-        assert Prospect.from_json(q.to_json()) == q
+        p = {"name": "a", "marginal": {"kind": "normal", "mean": 1, "sd": 1},
+             "copula": {"node": "gaussian", "rho": 0.2}}
+        assert Prospect.from_json(p) == Prospect("a", Normal(1, 1), copula=Gaussian(0.2))
+        assert Prospect.from_json(BOUND_PROSPECT) == Prospect("b", Uniform(0, 1), gamma_bound=0.4)
 
     def test_gamma_bound_must_be_a_json_number(self):
-        q = Prospect("b", Uniform(0, 1), gamma_bound=0.4)
         for not_a_number in ("0.4", True):
             with pytest.raises(SpecError):
-                Prospect.from_json(dict(q.to_json(), gamma_bound=not_a_number))
+                Prospect.from_json(dict(BOUND_PROSPECT, gamma_bound=not_a_number))
 
     def test_name_must_be_a_json_string(self):
-        q = Prospect("b", Uniform(0, 1), gamma_bound=0.4)
         for not_a_string in (None, 3, {"first": "b"}, ["b"]):
             with pytest.raises(SpecError):
-                Prospect.from_json(dict(q.to_json(), name=not_a_string))
+                Prospect.from_json(dict(BOUND_PROSPECT, name=not_a_string))
 
 
 class TestGaussianProspects:
