@@ -167,10 +167,17 @@ def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
     ve = np.concatenate([[0.0], np.minimum(np.cumsum([p for _, p in g2.points]), 1.0)])
     ue[-1] = 1.0
     ve[-1] = 1.0
-    cc = np.asarray(spec.cdf(ue[:, None], ve[None, :]))
-    masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
     le = xs[:, None] <= ys[None, :]
     eq = xs[:, None] == ys[None, :]
+    # the cdf only at the corners of summed cells (eq is inside le); the
+    # other corners stay 0, as only the masses of le cells are summed
+    need = np.zeros((n1 + 1, n2 + 1), dtype=bool)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        need[di:di + n1, dj:dj + n2] |= le
+    rows, cols = np.nonzero(need)
+    cc = np.zeros(need.shape)
+    cc[rows, cols] = spec.cdf(ue[rows], ve[cols])
+    masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
     eta = float(np.sum(masses[le]))
     xi = float(np.sum(masses[eq]))
     eta = min(max(eta, 0.0), 1.0)

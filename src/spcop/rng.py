@@ -56,7 +56,10 @@ def resolve_workers(workers=None) -> int:
     cap = os.environ.get("SP_COPULA_THREADS")
     if cap:
         try:
-            workers = min(workers, max(1, int(cap)))
+            cap = int(cap)
         except ValueError as exc:
             raise SpecError(f"SP_COPULA_THREADS must be an integer, got {cap!r}") from exc
+        if cap < 1:
+            raise SpecError(f"SP_COPULA_THREADS must be at least 1, got {cap}")
+        workers = min(workers, cap)
     return workers

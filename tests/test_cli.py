@@ -273,6 +273,17 @@ class TestDeterminism:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_thread_cap_below_one_is_exit_1(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("SP_COPULA_THREADS", cap)
+        with pytest.raises(SpecError):
+            resolve_workers(2)
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
+        assert main(["sample", "--spec", spec, "--samples", "2", "--workers", "2",
+                     "--output", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 # a mixture with an absolutely continuous part, a singular part without ties
 # (shuffle) and singular parts made of structural ties (mo_survival, comonotone)
@@ -340,6 +351,17 @@ class TestGoldenOutput:
             "eta-gamma"])
     def test_stdout_digest(self, tmp_path, command, doc, argv, digest):
         code, out = invoke([command, "--spec", write_doc(tmp_path, "d.json", doc), *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json", "baa9193a767ab15f2816b7ecfdb442b58db12b1f93955cce2668ff8654424bf4"),
+        ("csv", "2df2efc64ead902acef3dff977975809e708bba1dc5fd73b9bdf32a0a8ae71ec"),
+    ])
+    def test_verify_digest(self, fmt, digest):
+        # the JSON report carries every check's detail, max_dev of the
+        # empirical copula grids included
+        code, out = invoke(["verify", "--samples", "100000", "--seed", "1", "--output", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from spcop.copula import (Independence, MarshallOlkinConnecting,
-                          OrderStatistics, Shuffle)
+                          OrderStatistics, Shuffle, sample_uv)
 from spcop.dist import Exponential, Normal, Uniform
 from spcop.errors import SpecError
-from spcop.oracle import (LoadSharingModel, grid_eta_oracle,
+from spcop.oracle import (LoadSharingModel, _empirical_copula, grid_eta_oracle,
                           load_sharing_checks, load_sharing_sample,
                           load_sharing_survival, mo_checks,
                           mo_construction_sample, mo_survival_eta_audit,
@@ -114,6 +114,33 @@ class TestMoConstruction:
         assert rows[(0.2, 0.4)]["matching_branch"] == "alpha1<=alpha2"
         assert rows[(0.3, 0.3)]["matching_branch"] == "alpha1<=alpha2"
         assert "1/(2-alpha)" in audit["diagonal_resolution"]
+
+
+QS = np.linspace(1.0 / 16, 15.0 / 16, 15)  # mo_checks' empirical copula levels
+
+
+def mean_sweep(u, v, qs):
+    """The grid the counting helper replaced: one np.mean pass per point."""
+    return np.array([[np.mean((u <= a) & (v <= b)) for b in qs] for a in qs])
+
+
+class TestEmpiricalCopulaByCounting:
+    @pytest.mark.parametrize("a1,a2,n,seed", [(0.4, 0.2, 100_000, 70), (0.3, 0.5, 12345, 3)])
+    def test_equals_mean_sweep_bit_for_bit(self, a1, a2, n, seed):
+        # both grids of mo_checks: the construction's and the sampler's
+        x1, x2, _ = mo_construction_sample(a1, a2, n, seed)
+        u2, v2, _, _ = sample_uv(MarshallOlkinConnecting(a1, a2), n, seed + 1)
+        for u, v in ((-np.expm1(-x1 / a1), -np.expm1(-x2 / a2)), (u2, v2)):
+            counted = _empirical_copula(u, v, QS)
+            assert np.array_equal(counted.view(np.int64), mean_sweep(u, v, QS).view(np.int64))
+
+    def test_values_on_the_edges(self):
+        # 0, 1, every level k/16 exactly and both neighbours, in all pairs
+        assert np.array_equal(QS * 16, np.arange(1.0, 16.0))
+        ts = np.concatenate([[0.0, 1.0], QS, np.nextafter(QS, 0.0), np.nextafter(QS, 1.0)])
+        u, v = (a.ravel() for a in np.meshgrid(ts, ts))
+        counted = _empirical_copula(u, v, QS)
+        assert np.array_equal(counted.view(np.int64), mean_sweep(u, v, QS).view(np.int64))
 
 
 class TestGridOracle:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Independence,
                           MarshallOlkinConnecting, MarshallOlkinSurvival,
@@ -17,6 +18,8 @@ from spcop.precedence import (ClassVerdict, PrecedenceReport, best_eta_report,
                               classify, eta_discrete_exact, eta_exact,
                               eta_lower_bound, eta_mc, eta_quadrature,
                               sp_level)
+
+from test_copula import JSON_EXAMPLES
 
 ETA_K = 2.0 - math.pi / 2.0
 REGISTRY = [
@@ -233,6 +236,39 @@ class TestQuadrature:
             eta_quadrature(Independence(), at, Uniform(0, 1))
 
 
+def full_grid_eta_xi(spec, g1, g2):
+    """Reference (eta, xi): the double sum with the copula cdf evaluated on
+    every corner of the (n1+1) x (n2+1) atom grid."""
+    xs = np.array([x for x, _ in g1.points])
+    ys = np.array([y for y, _ in g2.points])
+    ue = np.concatenate([[0.0], np.minimum(np.cumsum([p for _, p in g1.points]), 1.0)])
+    ve = np.concatenate([[0.0], np.minimum(np.cumsum([p for _, p in g2.points]), 1.0)])
+    ue[-1] = 1.0
+    ve[-1] = 1.0
+    cc = np.asarray(spec.cdf(ue[:, None], ve[None, :]))
+    masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
+    eta = float(np.sum(masses[xs[:, None] <= ys[None, :]]))
+    xi = float(np.sum(masses[xs[:, None] == ys[None, :]]))
+    return min(max(eta, 0.0), 1.0), min(max(xi, 0.0), 1.0)
+
+
+@st.composite
+def atom_laws(draw):
+    # locations on a half-integer lattice of 41 points, so two laws of up to
+    # 40 atoms each often share locations and xi > 0
+    xs = sorted(draw(st.sets(st.integers(-20, 20), min_size=1, max_size=40)))
+    ws = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(xs), max_size=len(xs))))
+    return DiscreteAtoms(tuple(zip((0.5 * np.array(xs)).tolist(), (ws / ws.sum()).tolist())))
+
+
+def quarter_grid_atoms(count, seed, shift=0.0):
+    """`count` atoms on a quarter grid with small-integer weights."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.choice(4 * count, count, replace=False)) / 4.0 + shift
+    ws = rng.integers(1, 10, count).astype(float)
+    return DiscreteAtoms(tuple(zip(xs.tolist(), (ws / ws.sum()).tolist())))
+
+
 class TestDiscreteExact:
     def test_degenerate_atoms(self):
         one = DiscreteAtoms(((0.0, 1.0),))
@@ -257,6 +293,30 @@ class TestDiscreteExact:
         r = eta_discrete_exact(Gaussian(0.5), a, a)
         mc = eta_mc(Gaussian(0.5), a, a, 200_000, seed=42)
         assert abs(mc.eta - r.eta) <= 4.0 * mc.stderr_eta + 1e-4
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(node=st.sampled_from(sorted(JSON_EXAMPLES)), g1=atom_laws(), g2=atom_laws())
+    def test_corner_subset_keeps_the_full_grid_bits(self, node, g1, g2):
+        spec = JSON_EXAMPLES[node]
+        r = eta_discrete_exact(spec, g1, g2)
+        eta, xi = full_grid_eta_xi(spec, g1, g2)
+        assert (repr(r.eta), repr(r.xi)) == (repr(eta), repr(xi))
+
+    def test_cdf_runs_on_a_corner_subset(self, monkeypatch):
+        g1, g2 = quarter_grid_atoms(128, 31), quarter_grid_atoms(128, 32, 0.5)
+        spec = Gaussian(0.7)
+        eta, xi = full_grid_eta_xi(spec, g1, g2)
+        points = []
+        cdf = Gaussian.cdf
+
+        def spy(self, u, v):
+            points.append(np.broadcast(u, v).size)
+            return cdf(self, u, v)
+
+        monkeypatch.setattr(Gaussian, "cdf", spy)
+        r = eta_discrete_exact(spec, g1, g2)
+        assert (repr(r.eta), repr(r.xi)) == (repr(eta), repr(xi))
+        assert len(points) == 1 and points[0] < 0.6 * 129 * 129
 
     def test_size_limit(self):
         xs = np.arange(6000, dtype=float)
