@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode, encode
-from .dist import Exponential, Normal, UniformPower
+from .dist import Exponential, Normal, UniformPower, elementwise
 from .errors import NoDensity, SpecError, UnknownMass, WeightError
 from .rng import chunk_sizes, clip_open, open_uniform, resolve_workers, worker_streams
 from .special import normal_cdf, normal_quantile
@@ -47,7 +47,22 @@ class CopulaSpec:
     absolutely_continuous: bool = False
 
     def cdf(self, u, v):
+        """C(u, v) elementwise over the broadcast of u and v; a float for scalars."""
+        return elementwise(self._cdf, u, v)
+
+    def conditional_cdf(self, u, v):
+        """d/du C(u,v); defined only for absolutely continuous families."""
+        return elementwise(self._d1, u, v)
+
+    # Kernels: C, d/du C and d/dv C on equal-length 1-D float arrays.
+    def _cdf(self, u, v):
         raise NotImplementedError
+
+    def _d1(self, u, v):
+        raise NoDensity(f"{self.node} has a singular component")
+
+    def _d2(self, u, v):
+        raise NoDensity(f"{self.node} has a singular component")
 
     def sample_arrays(self, rng, n):
         """Return (u, v, singular_component, structural_tie) arrays."""
@@ -67,14 +82,6 @@ class CopulaSpec:
         copula, closed form; only families that know these marginals have one."""
         raise UnknownMass(f"{self.node} with {g1.kind}/{g2.kind} marginals")
 
-    def conditional_cdf(self, u, v):
-        """d/du C(u,v); defined only for absolutely continuous families."""
-        raise NoDensity(f"{self.node} has a singular component")
-
-    def conditional_cdf_second(self, u, v):
-        """d/dv C(u,v); defined only for absolutely continuous families."""
-        raise NoDensity(f"{self.node} has a singular component")
-
     def simplified(self) -> "CopulaSpec":
         """This node with a transform applied twice in a row removed."""
         return self
@@ -85,8 +92,8 @@ class Independence(CopulaSpec):
     node = "independence"
     absolutely_continuous = True
 
-    def cdf(self, u, v):
-        return np.asarray(u, dtype=float) * np.asarray(v, dtype=float)
+    def _cdf(self, u, v):
+        return u * v
 
     def sample_arrays(self, rng, n):
         u = open_uniform(rng, n)
@@ -97,19 +104,19 @@ class Independence(CopulaSpec):
     def closed_eta_xi(self):
         return 0.5, 0.0
 
-    def conditional_cdf(self, u, v):
-        return np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(u, dtype=float))[0].copy()
+    def _d1(self, u, v):
+        return v.copy()
 
-    def conditional_cdf_second(self, u, v):
-        return np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))[0].copy()
+    def _d2(self, u, v):
+        return u.copy()
 
 
 @dataclass(frozen=True)
 class Comonotone(CopulaSpec):
     node = "comonotone"
 
-    def cdf(self, u, v):
-        return np.minimum(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    def _cdf(self, u, v):
+        return np.minimum(u, v)
 
     def sample_arrays(self, rng, n):
         u = open_uniform(rng, n)
@@ -127,8 +134,8 @@ class Comonotone(CopulaSpec):
 class Countermonotone(CopulaSpec):
     node = "countermonotone"
 
-    def cdf(self, u, v):
-        return np.maximum(np.asarray(u, dtype=float) + np.asarray(v, dtype=float) - 1.0, 0.0)
+    def _cdf(self, u, v):
+        return np.maximum(u + v - 1.0, 0.0)
 
     def sample_arrays(self, rng, n):
         u = open_uniform(rng, n)
@@ -154,9 +161,7 @@ class Shuffle(CopulaSpec):
         if not (0.0 < self.gamma <= 1.0):
             raise SpecError(f"shuffle gamma must lie in (0,1], got {self.gamma}")
 
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v):
         g = self.gamma
         return np.minimum(np.minimum(u, v),
                           np.maximum(u - g, 0.0) + np.maximum(v + g - 1.0, 0.0))
@@ -215,17 +220,7 @@ class Gaussian(CopulaSpec):
         if not (-1.0 < self.rho < 1.0):
             raise SpecError(f"gaussian rho must lie in (-1,1), got {self.rho}")
 
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
-        shape = u.shape
-        uf = u.reshape(-1)
-        vf = v.reshape(-1)
-        out = self._cdf_flat(uf, vf)
-        return out.reshape(shape) if shape else float(out[0])
-
-    def _cdf_flat(self, u, v):
+    def _cdf(self, u, v):
         rho = self.rho
         if abs(rho) < 1e-15:
             return u * v
@@ -272,16 +267,15 @@ class Gaussian(CopulaSpec):
                 return 0.5 * math.erfc(-z / math.sqrt(2.0)), 0.0
         return super().closed_eta_xi_with(g1, g2)
 
-    def conditional_cdf(self, u, v):
-        u = np.clip(np.asarray(u, dtype=float), _UV_CLAMP, 1.0 - _UV_CLAMP)
-        v = np.asarray(v, dtype=float)
+    def _d1(self, u, v):
+        u = np.clip(u, _UV_CLAMP, 1.0 - _UV_CLAMP)
         s = math.sqrt(1.0 - self.rho ** 2)
         vc = np.clip(v, _UV_CLAMP, 1.0 - _UV_CLAMP)
         raw = normal_cdf((normal_quantile(vc) - self.rho * normal_quantile(u)) / s)
         return np.where(v <= 0.0, 0.0, np.where(v >= 1.0, 1.0, raw))
 
-    def conditional_cdf_second(self, u, v):
-        return self.conditional_cdf(v, u)
+    def _d2(self, u, v):
+        return self._d1(v, u)
 
 
 def _mo_validate(alpha1, alpha2):
@@ -310,9 +304,7 @@ class MarshallOlkinSurvival(CopulaSpec):
     def __post_init__(self):
         _mo_validate(self.alpha1, self.alpha2)
 
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v):
         return np.minimum(u ** (1.0 - self.alpha1) * v, u * v ** (1.0 - self.alpha2))
 
     def sample_arrays(self, rng, n):
@@ -346,9 +338,7 @@ class OrderStatistics(CopulaSpec):
     node = "order_statistics"
     absolutely_continuous = True
 
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v):
         r = 1.0 - np.sqrt(np.maximum(1.0 - u, 0.0))
         sv = np.sqrt(np.maximum(v, 0.0))
         above = sv >= r
@@ -373,18 +363,18 @@ class OrderStatistics(CopulaSpec):
             return 1.0, 0.0
         return super().closed_eta_xi_with(g1, g2)
 
-    def conditional_cdf(self, u, v):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - 1e-15)
-        v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+    def _d1(self, u, v):
+        u = np.clip(u, 0.0, 1.0 - 1e-15)
+        v = np.clip(v, 0.0, 1.0)
         w = np.sqrt(1.0 - u)
         r = 1.0 - w
         sv = np.sqrt(v)
         above = sv >= r
         return np.where(above, np.clip((sv - r) / w, 0.0, 1.0), 0.0)
 
-    def conditional_cdf_second(self, u, v):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        v = np.clip(np.asarray(v, dtype=float), 1e-30, 1.0)
+    def _d2(self, u, v):
+        u = np.clip(u, 0.0, 1.0)
+        v = np.clip(v, 1e-30, 1.0)
         r = 1.0 - np.sqrt(1.0 - u)
         sv = np.sqrt(v)
         above = sv >= r
@@ -416,8 +406,8 @@ class Mixture(CopulaSpec):
         etas, xis = zip(*pairs)
         return self._weighted(etas), self._weighted(xis)
 
-    def cdf(self, u, v):
-        return self._weighted(c.cdf(u, v) for c in self.components)
+    def _cdf(self, u, v):
+        return self._weighted(c._cdf(u, v) for c in self.components)
 
     def sample_arrays(self, rng, n):
         cum = np.cumsum(self.weights)
@@ -446,11 +436,11 @@ class Mixture(CopulaSpec):
     def closed_eta_xi_with(self, g1, g2):
         return self._weighted_eta_xi(c.closed_eta_xi_with(g1, g2) for c in self.components)
 
-    def conditional_cdf(self, u, v):
-        return self._weighted(c.conditional_cdf(u, v) for c in self.components)
+    def _d1(self, u, v):
+        return self._weighted(c._d1(u, v) for c in self.components)
 
-    def conditional_cdf_second(self, u, v):
-        return self._weighted(c.conditional_cdf_second(u, v) for c in self.components)
+    def _d2(self, u, v):
+        return self._weighted(c._d2(u, v) for c in self.components)
 
     @property
     def absolutely_continuous(self):
@@ -485,8 +475,8 @@ class Transpose(_Involution, CopulaSpec):
     inner: CopulaSpec
     node = "transpose"
 
-    def cdf(self, u, v):
-        return self.inner.cdf(v, u)
+    def _cdf(self, u, v):
+        return self.inner._cdf(v, u)
 
     def sample_arrays(self, rng, n):
         u, v, sing, tie = self.inner.sample_arrays(rng, n)
@@ -495,11 +485,11 @@ class Transpose(_Involution, CopulaSpec):
     def closed_eta_xi_with(self, g1, g2):
         return _flipped(*self.inner.closed_eta_xi_with(g2, g1))
 
-    def conditional_cdf(self, u, v):
-        return self.inner.conditional_cdf_second(v, u)
+    def _d1(self, u, v):
+        return self.inner._d2(v, u)
 
-    def conditional_cdf_second(self, u, v):
-        return self.inner.conditional_cdf(v, u)
+    def _d2(self, u, v):
+        return self.inner._d1(v, u)
 
 
 @dataclass(frozen=True)
@@ -507,24 +497,18 @@ class SurvivalOf(_Involution, CopulaSpec):
     inner: CopulaSpec
     node = "survival"
 
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return u + v - 1.0 + self.inner.cdf(1.0 - u, 1.0 - v)
+    def _cdf(self, u, v):
+        return u + v - 1.0 + self.inner._cdf(1.0 - u, 1.0 - v)
 
     def sample_arrays(self, rng, n):
         u, v, sing, tie = self.inner.sample_arrays(rng, n)
         return clip_open(1.0 - u), clip_open(1.0 - v), sing, tie
 
-    def conditional_cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return 1.0 - self.inner.conditional_cdf(1.0 - u, 1.0 - v)
+    def _d1(self, u, v):
+        return 1.0 - self.inner._d1(1.0 - u, 1.0 - v)
 
-    def conditional_cdf_second(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return 1.0 - self.inner.conditional_cdf_second(1.0 - u, 1.0 - v)
+    def _d2(self, u, v):
+        return 1.0 - self.inner._d2(1.0 - u, 1.0 - v)
 
 
 @dataclass(frozen=True)
@@ -535,7 +519,7 @@ class MarshallOlkinConnecting(_Involution, CopulaSpec):
     alpha1: float
     alpha2: float
     node = "mo_connecting"
-    cdf = SurvivalOf.cdf
+    _cdf = SurvivalOf._cdf
 
     def __post_init__(self):
         _mo_validate(self.alpha1, self.alpha2)
@@ -567,12 +551,9 @@ class MarshallOlkinConnecting(_Involution, CopulaSpec):
 
 def rect_measure(spec: CopulaSpec, u1, u2, v1, v2):
     """C-mass of [u1,u2] x [v1,v2] by inclusion-exclusion."""
-    if np.any(np.asarray(u1) > np.asarray(u2)) or np.any(np.asarray(v1) > np.asarray(v2)):
+    if np.any(np.greater(u1, u2)) or np.any(np.greater(v1, v2)):
         raise SpecError("rect_measure needs u1 <= u2 and v1 <= v2")
-    res = spec.cdf(u2, v2) - spec.cdf(u1, v2) - spec.cdf(u2, v1) + spec.cdf(u1, v1)
-    if all(np.ndim(x) == 0 for x in (u1, u2, v1, v2)):
-        return float(res)
-    return res
+    return spec.cdf(u2, v2) - spec.cdf(u1, v2) - spec.cdf(u2, v1) + spec.cdf(u1, v1)
 
 
 def sample_uv(spec: CopulaSpec, n: int, seed: int, workers: int = 1):
@@ -621,10 +602,10 @@ def validate_copula(spec: CopulaSpec, grid: int = 64) -> list[dict]:
         if len(out) < _MAX_VIOLATIONS:
             out.append({"check": check, "u": float(u), "v": float(v), "value": float(value)})
 
-    c_u0 = np.asarray(spec.cdf(ts, np.zeros_like(ts)))
-    c_0v = np.asarray(spec.cdf(np.zeros_like(ts), ts))
-    c_u1 = np.asarray(spec.cdf(ts, np.ones_like(ts)))
-    c_1v = np.asarray(spec.cdf(np.ones_like(ts), ts))
+    c_u0 = spec.cdf(ts, 0.0)
+    c_0v = spec.cdf(0.0, ts)
+    c_u1 = spec.cdf(ts, 1.0)
+    c_1v = spec.cdf(1.0, ts)
     for i, t in enumerate(ts):
         if abs(c_u0[i]) > _AXIOM_TOL:
             report("boundary C(u,0)=0", t, 0.0, c_u0[i])
@@ -636,7 +617,7 @@ def validate_copula(spec: CopulaSpec, grid: int = 64) -> list[dict]:
             report("boundary C(1,v)=v", 1.0, t, c_1v[i])
 
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
-    cc = np.asarray(spec.cdf(uu, vv))
+    cc = spec.cdf(uu, vv)
     masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
     bad = np.argwhere(masses < -_AXIOM_TOL)
     for i, j in bad[:_MAX_VIOLATIONS]:

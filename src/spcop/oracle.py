@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _CHECK_GRID = 32  # points of the load-sharing and order-statistics curve checks
+# run_verification's floor: below it some tolerances cover all of [0, 1], so a
+# check could not fail; at it every tolerance is below 0.1
+MIN_SAMPLES = 10_000
 # (alpha1, alpha2) of the survival-form eta audit: one per branch, and the diagonal
 _AUDIT_PAIRS = ((0.4, 0.2), (0.2, 0.4), (0.3, 0.3))
 
@@ -239,10 +242,10 @@ def grid_eta_oracle(spec: CopulaSpec, g1: Distribution, g2: Distribution,
     if grid < 16:
         raise SpecError("oracle grid must be at least 16")
     edges = np.linspace(0.0, 1.0, grid + 1)
-    cc = np.asarray(spec.cdf(edges[:, None], edges[None, :]))
+    cc = spec.cdf(edges[:, None], edges[None, :])
     masses = np.maximum(cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1], 0.0)
-    q1 = np.asarray(g1.quantile(edges))
-    q2 = np.asarray(g2.quantile(edges))
+    q1 = g1.quantile(edges)
+    q2 = g2.quantile(edges)
     with np.errstate(invalid="ignore"):
         inside = q1[1:, None] <= q2[None, :-1]    # worst corner still inside
         outside = q1[:-1, None] > q2[None, 1:]    # best corner already outside
@@ -255,6 +258,8 @@ def grid_eta_oracle(spec: CopulaSpec, g1: Distribution, g2: Distribution,
 
 def run_verification(n: int = 10 ** 6, seed: int = 20240801) -> dict:
     """All oracle differential checks as a machine-readable report."""
+    if n < MIN_SAMPLES:
+        raise SpecError(f"verification needs n >= {MIN_SAMPLES}, got {n}")
     checks = []
 
     mo = mo_checks(0.4, 0.2, n, seed)

@@ -101,8 +101,8 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
     if n < MC_MIN_SAMPLES:
         raise SpecError(f"Monte Carlo needs n >= {MC_MIN_SAMPLES}, got {n}")
     u, v, _sing, struct_tie = sample_uv(spec, n, seed, workers)
-    x1 = np.asarray(g1.quantile(u), dtype=float)
-    x2 = np.asarray(g2.quantile(v), dtype=float)
+    x1 = g1.quantile(u)
+    x2 = g2.quantile(v)
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise SpecError("non-finite quantile draw; marginal support is saturated")
     scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
@@ -161,14 +161,10 @@ def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
     n1, n2 = len(g1.points), len(g2.points)
     if n1 + n2 > DISCRETE_ATOM_BUDGET:
         raise SizeLimit(f"{n1}+{n2} atoms exceed the {DISCRETE_ATOM_BUDGET} budget")
-    xs = np.array([x for x, _ in g1.points])
-    ys = np.array([y for y, _ in g2.points])
-    ue = np.concatenate([[0.0], np.minimum(np.cumsum([p for _, p in g1.points]), 1.0)])
-    ve = np.concatenate([[0.0], np.minimum(np.cumsum([p for _, p in g2.points]), 1.0)])
-    ue[-1] = 1.0
-    ve[-1] = 1.0
-    le = xs[:, None] <= ys[None, :]
-    eq = xs[:, None] == ys[None, :]
+    ue = np.concatenate([[0.0], g1._cum])
+    ve = np.concatenate([[0.0], g2._cum])
+    le = g1._xs[:, None] <= g2._xs[None, :]
+    eq = g1._xs[:, None] == g2._xs[None, :]
     # the cdf only at the corners of summed cells (eq is inside le); the
     # other corners stay 0, as only the masses of le cells are summed
     need = np.zeros((n1 + 1, n2 + 1), dtype=bool)

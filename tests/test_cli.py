@@ -172,6 +172,14 @@ class TestVerifyAndCurve:
         dominance = next(c for c in rep["checks"] if c["name"] == "load_sharing_st_dominance")
         assert dominance["passed"] is False
 
+    @pytest.mark.parametrize("samples,code", [("1", 1), ("9999", 1), ("10000", 0)])
+    def test_verify_sample_floor(self, capsys, samples, code):
+        # below 1e4 samples some tolerances cover all of [0, 1]: refused, not passed
+        assert main(["verify", "--samples", samples, "--seed", "1"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out == "") == (code == 1)
+        assert captured.err.startswith("error: ") == (code == 1)
+
     def test_curve_strictly_increasing(self, tmp_path):
         spec = write_doc(tmp_path, "c.json", {
             "family": "gaussian", "start": -0.9, "stop": 0.9, "step": 0.1,

@@ -348,12 +348,16 @@ JSON_EXAMPLES = {s.node: s for s in REGISTRY + [
 @pytest.mark.parametrize("node", sorted(COPULA_NODES))
 def test_cdf_is_pointwise(node):
     # a grid call gives the bits of one call per point, so the cdf may be
-    # evaluated on any subset of a grid; 17 x 17 points span several Gaussian blocks
+    # evaluated on any subset of a grid; 17 x 17 points span several Gaussian
+    # blocks. A 2-D input keeps its shape and a scalar pair gives a float.
     spec = JSON_EXAMPLES[node]
     ts = np.concatenate([[0.0, 1.0], np.random.default_rng(13).random(15)])
-    grid = np.asarray(spec.cdf(ts[:, None], ts[None, :]), dtype=float)
-    points = np.array([[spec.cdf(u, v) for v in ts] for u in ts], dtype=float)
-    assert np.array_equal(grid.view(np.int64), points.view(np.int64))
+    for f in [spec.cdf] + ([spec.conditional_cdf] if spec.absolutely_continuous else []):
+        grid = f(ts[:, None], ts[None, :])
+        points = [f(u, v) for u in ts for v in ts]
+        assert grid.shape == (17, 17)
+        assert {type(x) for x in points} == {float}
+        assert np.array_equal(grid.ravel().view(np.int64), np.array(points).view(np.int64))
 
 
 class TestJson:

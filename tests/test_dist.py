@@ -36,6 +36,28 @@ class TestCdfExamples:
         assert d.cdf(np.nextafter(0.0, -1)) == 0.0
         assert d.cdf(1.0) == 1.0
 
+    def test_atoms_cdf_capped_when_probabilities_sum_above_one(self):
+        # the probabilities sum to 1 + 3e-13, inside the validation slack
+        d = DiscreteAtoms(((0, 0.6), (1, 0.4 + 2e-13), (2, 1e-13)))
+        assert np.all(np.diff(d._cum) >= 0.0) and d._cum[-1] == 1.0
+        assert d.cdf(1.0) <= 1.0
+        assert np.all(d.cdf(np.linspace(-1.0, 3.0, 41)) <= 1.0)
+
+
+@pytest.mark.parametrize("d", JSON_EXAMPLES, ids=lambda d: repr(d))
+def test_scalars_give_floats_and_arrays_keep_their_shape(d):
+    xs = np.linspace(-1.0, 2.5, 12).reshape(3, 4)
+    ps = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    calls = [(d.cdf, xs), (d.quantile, ps), (d.survival, xs)]
+    if d.has_density:
+        calls.append((d.density, xs))
+    for f, arg in calls:
+        out = f(arg)
+        points = [f(a) for a in arg.ravel()]
+        assert out.shape == (3, 4)
+        assert {type(x) for x in points} == {float}
+        assert np.array_equal(out.ravel().view(np.int64), np.array(points).view(np.int64))
+
 
 class TestQuantileExamples:
     def test_uniform(self):
