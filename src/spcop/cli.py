@@ -63,12 +63,8 @@ def _need(doc, key):
 
 
 def _marginals(doc):
-    has1, has2 = "g1" in doc, "g2" in doc
-    if has1 != has2:
-        raise SpecError("provide both marginals g1 and g2, or neither")
-    if not has1:
-        return None, None
-    return dist_from_json(doc["g1"]), dist_from_json(doc["g2"])
+    """(g1, g2), None for each one missing; eta_exact refuses a lone marginal."""
+    return tuple(dist_from_json(doc[k]) if k in doc else None for k in ("g1", "g2"))
 
 
 def _metadata(args, method):
@@ -143,7 +139,7 @@ def _cmd_eta(args, doc, stream):
     g1, g2 = _marginals(doc)
     exit_code = 0
     level = None
-    if args.gamma is not None and g1 is not None:
+    if args.gamma is not None:
         try:
             checked = sp_level(spec, g1, g2, args.gamma, n=args.samples, seed=args.seed,
                                workers=args.workers, tol=args.tol)

@@ -341,8 +341,7 @@ class OrderStatistics(CopulaSpec):
     def _cdf(self, u, v):
         r = 1.0 - np.sqrt(np.maximum(1.0 - u, 0.0))
         sv = np.sqrt(np.maximum(v, 0.0))
-        above = sv >= r
-        return np.where(above, 2.0 * r * sv - r * r, v)
+        return np.where(sv < r, v, 2.0 * r * sv - r * r)  # NaN takes the formula
 
     def sample_arrays(self, rng, n):
         a = open_uniform(rng, n)
@@ -369,16 +368,14 @@ class OrderStatistics(CopulaSpec):
         w = np.sqrt(1.0 - u)
         r = 1.0 - w
         sv = np.sqrt(v)
-        above = sv >= r
-        return np.where(above, np.clip((sv - r) / w, 0.0, 1.0), 0.0)
+        return np.where(sv < r, 0.0, np.clip((sv - r) / w, 0.0, 1.0))
 
     def _d2(self, u, v):
         u = np.clip(u, 0.0, 1.0)
         v = np.clip(v, 1e-30, 1.0)
         r = 1.0 - np.sqrt(1.0 - u)
         sv = np.sqrt(v)
-        above = sv >= r
-        return np.where(above, np.clip(r / sv, 0.0, 1.0), 1.0)
+        return np.where(sv < r, 1.0, np.clip(r / sv, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -602,10 +599,10 @@ def validate_copula(spec: CopulaSpec, grid: int = 64) -> list[dict]:
         if len(out) < _MAX_VIOLATIONS:
             out.append({"check": check, "u": float(u), "v": float(v), "value": float(value)})
 
-    c_u0 = spec.cdf(ts, 0.0)
-    c_0v = spec.cdf(0.0, ts)
-    c_u1 = spec.cdf(ts, 1.0)
-    c_1v = spec.cdf(1.0, ts)
+    uu, vv = np.meshgrid(ts, ts, indexing="ij")
+    cc = spec.cdf(uu, vv)
+    # the boundary values are the lattice's edges, as every cdf is pointwise
+    c_u0, c_0v, c_u1, c_1v = cc[:, 0], cc[0, :], cc[:, -1], cc[-1, :]
     for i, t in enumerate(ts):
         if abs(c_u0[i]) > _AXIOM_TOL:
             report("boundary C(u,0)=0", t, 0.0, c_u0[i])
@@ -616,8 +613,6 @@ def validate_copula(spec: CopulaSpec, grid: int = 64) -> list[dict]:
         if abs(c_1v[i] - t) > _AXIOM_TOL:
             report("boundary C(1,v)=v", 1.0, t, c_1v[i])
 
-    uu, vv = np.meshgrid(ts, ts, indexing="ij")
-    cc = spec.cdf(uu, vv)
     masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
     bad = np.argwhere(masses < -_AXIOM_TOL)
     for i, j in bad[:_MAX_VIOLATIONS]:

@@ -241,9 +241,13 @@ class DiscreteAtoms(Distribution):
         c[-1] = 1.0
         return c
 
-    def _cdf(self, x):
-        idx = np.searchsorted(self._xs, x, side="right")
-        return np.concatenate([[0.0], self._cum])[idx]
+    @cached_property
+    def _edges(self):
+        """The cdf left of the first atom, then at each atom."""
+        return np.concatenate([[0.0], self._cum])
+
+    def _cdf(self, x):  # NaN sorts past every atom
+        return np.where(np.isnan(x), x, self._edges[np.searchsorted(self._xs, x, side="right")])
 
     def _quantile(self, p):
         idx = np.searchsorted(self._cum, p, side="left")
@@ -288,9 +292,9 @@ class PiecewiseLinearCdf(Distribution):
     def _cdf(self, x):
         xs, ps = self._xs, self._ps
         idx = np.searchsorted(xs, x, side="right")
-        out = np.empty_like(x)
+        out = np.full_like(x, np.nan)  # NaN sorts past every knot but fails x >= xs[-1]
         out[idx == 0] = 0.0
-        out[idx == len(xs)] = 1.0
+        out[x >= xs[-1]] = 1.0
         mid = (idx > 0) & (idx < len(xs))
         if mid.any():
             i = idx[mid]
@@ -462,9 +466,8 @@ def _log_survival(g, ts):
 
 def _log_ratio(log_fn, g1, g2, t):
     """log_fn(g2) - log_fn(g1) at the one point t."""
-    arr = np.array([t])
     with np.errstate(invalid="ignore"):
-        return float((log_fn(g2, arr) - log_fn(g1, arr))[0])
+        return log_fn(g2, t) - log_fn(g1, t)
 
 
 def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 512) -> OrderCheckResult:
@@ -473,7 +476,9 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
     st compares cdfs pointwise; hr the survival ratio's monotonicity; lr the
     density ratio's monotonicity (both on the log scale). Same-family
     exponential / normal / uniform pairs short-circuit to the analytic
-    criterion, so those verdicts are exact.
+    criterion, so those verdicts are exact. For hr/lr only a verdict that
+    holds short-circuits: a failing pair takes its witness from the grid,
+    since the st witness need not show the ratio drop.
     """
     if relation not in ("st", "hr", "lr"):
         raise SpecError(f"unknown order relation {relation!r}")
@@ -483,10 +488,9 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
     if relation in ("hr", "lr"):
         if not (g1.has_density and g2.has_density):
             raise UnsupportedOrder(f"{relation} ordering needs closed-form densities")
-        analytic = _same_family_st(g1, g2)  # same criterion for exp/normal/uniform
-        if analytic is not None and type(g1) is type(g2):
-            holds, witness = analytic
-            return OrderCheckResult(relation, holds, witness, grid)
+        # same criterion for exp/normal/uniform
+        if type(g1) is type(g2) and _same_family_st(g1, g2) == (True, None):
+            return OrderCheckResult(relation, True, None, grid)
         ts = quantile_grid((g1, g2), grid)
         log_fn = _log_density if relation == "lr" else _log_survival
         l1, l2 = log_fn(g1, ts), log_fn(g2, ts)

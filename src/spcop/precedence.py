@@ -161,8 +161,7 @@ def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
     n1, n2 = len(g1.points), len(g2.points)
     if n1 + n2 > DISCRETE_ATOM_BUDGET:
         raise SizeLimit(f"{n1}+{n2} atoms exceed the {DISCRETE_ATOM_BUDGET} budget")
-    ue = np.concatenate([[0.0], g1._cum])
-    ve = np.concatenate([[0.0], g2._cum])
+    ue, ve = g1._edges, g2._edges
     le = g1._xs[:, None] <= g2._xs[None, :]
     eq = g1._xs[:, None] == g2._xs[None, :]
     # the cdf only at the corners of summed cells (eq is inside le); the

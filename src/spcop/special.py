@@ -1,4 +1,6 @@
-"""High-precision normal cdf / quantile kernels, vectorised over numpy arrays.
+"""High-precision normal cdf / quantile kernels on float arrays: each returns
+an array of its input's shape, NaN where the input is NaN. `dist.elementwise`
+converts scalars and `Distribution.quantile` checks probabilities.
 
 The cdf goes through a rational-approximation erfc (Cody's split: small-|x|
 series-like rational, mid-range rational, large-|x| continued-fraction-style
@@ -95,10 +97,7 @@ def _erfc_large(y):
 
 
 def erfc(x):
-    """Complementary error function, elementwise on scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    """Complementary error function, elementwise."""
     y = np.abs(x)
     out = np.full_like(y, np.nan)  # NaN fails every region mask below
 
@@ -120,20 +119,18 @@ def erfc(x):
 
     neg = x < 0.0
     out[neg] = 2.0 - out[neg]
-    return float(out[0]) if scalar else out
+    return out
 
 
 def normal_cdf(x, mean=0.0, sd=1.0):
     """Standard (or shifted/scaled) normal cdf."""
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    res = 0.5 * erfc(-z / _SQRT2)
-    return res
+    z = (x - mean) / sd
+    return 0.5 * erfc(-z / _SQRT2)
 
 
 def normal_pdf(x, mean=0.0, sd=1.0):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    res = _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd
-    return float(res) if np.ndim(x) == 0 else res
+    z = (x - mean) / sd
+    return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd
 
 
 # Acklam's inverse normal cdf coefficients.
@@ -171,21 +168,14 @@ def _ppf_central(p):
 
 
 def normal_quantile(p, mean=0.0, sd=1.0):
-    """Inverse normal cdf; p=0/1 map to -inf/+inf sentinels, NaN is rejected."""
-    p_in = np.asarray(p, dtype=float)
-    scalar = p_in.ndim == 0
-    p = np.atleast_1d(p_in).copy()
-    if np.isnan(p).any():
-        raise ValueError("quantile probability must not be NaN")
-    if (p < 0.0).any() or (p > 1.0).any():
-        raise ValueError("quantile probability must lie in [0,1]")
+    """Inverse normal cdf; p=0/1 map to -inf/+inf sentinels, NaN to NaN."""
 
     # Fold to the lower tail: the Halley correction needs Phi(x) - q without
     # cancellation, which only the small-q side of erfc provides.
     upper = p > 0.5
     q = np.where(upper, 1.0 - p, p)
 
-    x = np.zeros_like(p)
+    x = np.full_like(p, np.nan)  # NaN fails every region mask below
     tail = (q > 0.0) & (q < _PPF_SPLIT)
     mid = q >= _PPF_SPLIT
     if tail.any():
@@ -204,5 +194,4 @@ def normal_quantile(p, mean=0.0, sd=1.0):
     x[upper] = -x[upper]
     x[p == 0.0] = -np.inf
     x[p == 1.0] = np.inf
-    out = mean + sd * x
-    return float(out[0]) if scalar else out
+    return mean + sd * x

@@ -73,8 +73,17 @@ class TestEta:
     def test_marginal_pair_required_together(self, tmp_path):
         spec = write_doc(tmp_path, "s.json", {
             "copula": {"node": "independence"}, "g1": {"kind": "uniform", "a": 0, "b": 1}})
-        with pytest.raises(Exception):
+        with pytest.raises(SpecError):
             invoke(["eta", "--spec", spec])
+        assert main(["eta", "--spec", spec]) == 1
+
+    @pytest.mark.parametrize("gamma, holds", [("0.5", False), ("0.2", True)])
+    def test_gamma_without_marginals(self, tmp_path, gamma, holds):
+        # the copula's own closed form answers the level check (eta = 0.3)
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "shuffle", "gamma": 0.3}})
+        code, out = invoke(["eta", "--spec", spec, "--gamma", gamma])
+        assert code == 0
+        assert json.loads(out)["result"]["sp_level"] == {"gamma": float(gamma), "holds": holds}
 
 
 class TestClassify:

@@ -358,6 +358,12 @@ def test_cdf_is_pointwise(node):
         assert grid.shape == (17, 17)
         assert {type(x) for x in points} == {float}
         assert np.array_equal(grid.ravel().view(np.int64), np.array(points).view(np.int64))
+    # NaN passes through every kernel, as it does through Distribution.cdf
+    nan = float("nan")
+    assert all(np.isnan(spec.cdf(u, v)) for u, v in ((nan, 0.5), (0.5, nan), (nan, nan)))
+    if spec.absolutely_continuous:  # d/du C, and the kernel d/dv C
+        assert np.isnan(spec.conditional_cdf(0.5, nan))
+        assert np.isnan(spec._d2(np.array([nan]), np.array([0.5]))[0])
 
 
 class TestJson:

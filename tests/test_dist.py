@@ -57,6 +57,7 @@ def test_scalars_give_floats_and_arrays_keep_their_shape(d):
         assert out.shape == (3, 4)
         assert {type(x) for x in points} == {float}
         assert np.array_equal(out.ravel().view(np.int64), np.array(points).view(np.int64))
+    assert np.isnan(d.cdf(np.nan)) and np.isnan(d.survival(np.nan))
 
 
 class TestQuantileExamples:
@@ -76,8 +77,11 @@ class TestQuantileExamples:
         assert Normal(0, 1).quantile(1.0) == np.inf
         assert Exponential(1.0).quantile(0.0) == 0.0
         assert Uniform(2, 5).quantile(1.0) == 5.0
-        with pytest.raises(ValueError):
-            Uniform(0, 1).quantile(float("nan"))
+        for d in JSON_EXAMPLES:  # every kind of DIST_KINDS
+            for p in (float("nan"), -0.1, 1.5):
+                for arg in (p, np.array([0.5, p])):
+                    with pytest.raises(ValueError, match="quantile probability must"):
+                        d.quantile(arg)
 
 
 class TestClassG:
@@ -131,9 +135,13 @@ class TestCheckOrder:
     def test_hr_lr_closed_forms(self):
         for rel in ("hr", "lr"):
             assert check_order(rel, Exponential(1.0), Exponential(0.5)).holds
-            assert not check_order(rel, Exponential(0.5), Exponential(1.0)).holds
             assert check_order(rel, Normal(0, 1), Normal(1, 1)).holds
-            assert not check_order(rel, Normal(0, 1), Normal(1, 2)).holds
+            for g1, g2 in ((Exponential(0.5), Exponential(1.0)), (Normal(0, 1), Normal(1, 2)),
+                           (Uniform(0.5, 1), Uniform(0, 2)), (Uniform(0, 2), Uniform(0.5, 1)),
+                           (Uniform(0.5, 1.5), Uniform(0, 1))):
+                r = check_order(rel, g1, g2)
+                assert not r.holds
+                assert not order_holds_at(rel, g1, g2, r.witness)  # re-observable
 
     def test_hr_lr_cross_family(self):
         # exponential(1) vs uniform: density ratio not monotone both ways
