@@ -476,9 +476,9 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
     st compares cdfs pointwise; hr the survival ratio's monotonicity; lr the
     density ratio's monotonicity (both on the log scale). Same-family
     exponential / normal / uniform pairs short-circuit to the analytic
-    criterion, so those verdicts are exact. For hr/lr only a verdict that
-    holds short-circuits: a failing pair takes its witness from the grid,
-    since the st witness need not show the ratio drop.
+    criterion, so those verdicts are exact. A failing hr/lr pair takes its
+    witness from the grid, since the st witness need not show the ratio drop,
+    and keeps the st witness when the drop lies outside the grid.
     """
     if relation not in ("st", "hr", "lr"):
         raise SpecError(f"unknown order relation {relation!r}")
@@ -489,7 +489,8 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
         if not (g1.has_density and g2.has_density):
             raise UnsupportedOrder(f"{relation} ordering needs closed-form densities")
         # same criterion for exp/normal/uniform
-        if type(g1) is type(g2) and _same_family_st(g1, g2) == (True, None):
+        analytic = _same_family_st(g1, g2) if type(g1) is type(g2) else None
+        if analytic == (True, None):
             return OrderCheckResult(relation, True, None, grid)
         ts = quantile_grid((g1, g2), grid)
         log_fn = _log_density if relation == "lr" else _log_survival
@@ -497,6 +498,8 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
         with np.errstate(invalid="ignore"):  # -inf minus -inf where both vanish
             vals = np.where(np.isneginf(l1) & np.isneginf(l2), np.nan, l2 - l1)
         holds, witness = _ratio_monotone(vals, ts, partial(_log_ratio, log_fn, g1, g2))
+        if holds and analytic is not None:
+            holds, witness = analytic
         return OrderCheckResult(relation, holds, witness, grid)
 
     analytic = _same_family_st(g1, g2)

@@ -142,6 +142,8 @@ class TestCheckOrder:
                 r = check_order(rel, g1, g2)
                 assert not r.holds
                 assert not order_holds_at(rel, g1, g2, r.witness)  # re-observable
+            # the ratio drops only below t ~ -49.7, outside the quantile grid
+            assert not check_order(rel, Normal(0, 1), Normal(1, 1.01)).holds
 
     def test_hr_lr_cross_family(self):
         # exponential(1) vs uniform: density ratio not monotone both ways
