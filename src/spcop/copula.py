@@ -17,7 +17,7 @@ import numpy as np
 from .codec import decode, encode
 from .dist import Exponential, Normal, UniformPower, elementwise
 from .errors import NoDensity, SpecError, UnknownMass, WeightError
-from .rng import chunk_sizes, clip_open, open_uniform, resolve_workers, worker_streams
+from .rng import clip_open, map_chunks, open_uniform
 from .special import normal_cdf, normal_quantile
 
 __all__ = [
@@ -557,10 +557,7 @@ def sample_uv(spec: CopulaSpec, n: int, seed: int, workers: int = 1):
     """Array-form sampler: (u, v, singular_mask, tie_mask), worker-chunked."""
     if n < 1:
         raise SpecError("sample count must be >= 1")
-    workers = resolve_workers(workers)
-    streams = worker_streams(seed, workers)
-    parts = [spec.sample_arrays(stream, m)
-             for stream, m in zip(streams, chunk_sizes(n, workers)) if m > 0]
+    parts = map_chunks(spec.sample_arrays, n, seed, workers)
     u = np.concatenate([p[0] for p in parts])
     v = np.concatenate([p[1] for p in parts])
     sing = np.concatenate([p[2] for p in parts])

@@ -114,7 +114,7 @@ class Uniform(Distribution):
 
     def _density(self, x):
         inside = (x >= self.a) & (x <= self.b)
-        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
+        return np.where(np.isnan(x), x, np.where(inside, 1.0 / (self.b - self.a), 0.0))
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ class UniformPower(Distribution):
             v = self.k * (1.0 - t) ** (self.k - 1.0)
         else:
             v = self.k * t ** (self.k - 1.0)
-        return np.where(inside, v, 0.0)
+        return np.where(np.isnan(x), x, np.where(inside, v, 0.0))
 
     def discontinuities(self):
         return np.array([0.0, 1.0])
@@ -478,7 +478,8 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
     exponential / normal / uniform pairs short-circuit to the analytic
     criterion, so those verdicts are exact. A failing hr/lr pair takes its
     witness from the grid, since the st witness need not show the ratio drop,
-    and keeps the st witness when the drop lies outside the grid.
+    and keeps the st witness when the drop lies outside the grid; a failing
+    st pair does the same when its closed-form witness shows no gap.
     """
     if relation not in ("st", "hr", "lr"):
         raise SpecError(f"unknown order relation {relation!r}")
@@ -505,9 +506,11 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
     analytic = _same_family_st(g1, g2)
     if analytic is not None:
         holds, witness = analytic
-        if not holds and (witness is None or g1.cdf(witness) >= g2.cdf(witness) - _EPS):
-            holds2, witness = _st_verdict(g1, g2, max(grid, 4096))
-            holds = holds2
+        if not holds and order_holds_at("st", g1, g2, witness):
+            # the closed-form witness shows no gap in double precision (both
+            # cdfs may underflow there); the grid only looks for one that does
+            seen, grid_witness = _st_verdict(g1, g2, max(grid, 4096))
+            witness = witness if seen else grid_witness
         return OrderCheckResult("st", holds, witness, grid)
     holds, witness = _st_verdict(g1, g2, grid)
     return OrderCheckResult("st", holds, witness, grid)

@@ -11,10 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .copula import CopulaSpec, sample_uv
+# sample_uv stays a module attribute: the benchmark tracer patches it here by name
+from .copula import CopulaSpec, sample_uv  # noqa: F401
 from .dist import DiscreteAtoms, Distribution, check_order
 from .errors import Inconclusive, NoDensity, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
+from .rng import map_chunks
 
 __all__ = [
     "PrecedenceReport", "ClassVerdict", "SpLevelResult", "eta_exact", "eta_mc",
@@ -100,16 +102,23 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
     """
     if n < MC_MIN_SAMPLES:
         raise SpecError(f"Monte Carlo needs n >= {MC_MIN_SAMPLES}, got {n}")
-    u, v, _sing, struct_tie = sample_uv(spec, n, seed, workers)
-    x1 = g1.quantile(u)
-    x2 = g2.quantile(v)
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise SpecError("non-finite quantile draw; marginal support is saturated")
-    scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
-    ties = (x1 == x2) | (struct_tie & (np.abs(x1 - x2) <= _TIE_RTOL * scale))
-    le = (x1 <= x2) | ties
-    eta = float(np.mean(le))
-    xi = float(np.mean(ties))
+
+    def count(stream, m):
+        # one chunk sampled, mapped and counted; only its two counts outlive it
+        u, v, _sing, struct_tie = spec.sample_arrays(stream, m)
+        x1 = g1.quantile(u)
+        x2 = g2.quantile(v)
+        if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+            raise SpecError("non-finite quantile draw; marginal support is saturated")
+        scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
+        ties = (x1 == x2) | (struct_tie & (np.abs(x1 - x2) <= _TIE_RTOL * scale))
+        le = (x1 <= x2) | ties
+        return np.count_nonzero(le), np.count_nonzero(ties)
+
+    counts = map_chunks(count, n, seed, workers)
+    # exact integer counts over n: the bits of np.mean over the whole bool array
+    eta = sum(c for c, _ in counts) / n
+    xi = sum(t for _, t in counts) / n
     se_eta = math.sqrt(max(eta * (1.0 - eta), 0.0) / n)
     se_xi = math.sqrt(max(xi * (1.0 - xi), 0.0) / n)
     return PrecedenceReport(eta, xi, "monte_carlo", se_eta, se_xi, n, seed)
@@ -222,7 +231,8 @@ def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
     """Does X1 stochastically precede X2 at level gamma, i.e. eta >= gamma?
 
     Monte Carlo verdicts inside the 3-sigma band of gamma raise Inconclusive
-    instead of guessing; the exception carries the report.
+    instead of guessing; the exception carries the report. Verdicts of the
+    other routes allow eta to fall short of gamma by tol, as classify does.
     """
     if not (0.0 <= gamma <= 1.0):
         raise SpecError(f"gamma must lie in [0,1], got {gamma}")
@@ -230,7 +240,7 @@ def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
     if report.samples > 0 and abs(report.eta - gamma) < 3.0 * report.stderr_eta:
         raise Inconclusive(
             f"eta estimate {report.eta:.6f} within 3 stderr of gamma={gamma}", report)
-    slack = 0.0 if report.samples > 0 else 1e-12
+    slack = 0.0 if report.samples > 0 else tol
     return SpLevelResult(bool(report.eta >= gamma - slack), report)
 
 

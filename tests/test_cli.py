@@ -86,6 +86,28 @@ class TestEta:
         assert json.loads(out)["result"]["sp_level"] == {"gamma": float(gamma), "holds": holds}
 
 
+    @pytest.mark.parametrize("gamma", ["0.3000000001", "0.300000002", "0.3", "0.29"])
+    def test_gamma_verdict_agrees_with_classify(self, tmp_path, gamma):
+        # both allow eta to fall short of gamma by --tol (1e-9)
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "shuffle", "gamma": 0.3}})
+        _, eta_out = invoke(["eta", "--spec", spec, "--gamma", gamma])
+        _, cls_out = invoke(["classify", "--spec", spec, "--gamma", gamma])
+        holds = json.loads(eta_out)["result"]["sp_level"]["holds"]
+        assert holds == json.loads(cls_out)["result"]["in_L_gamma"]
+        assert holds == (float(gamma) <= 0.3 + 1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_chunk_error_at_two_workers_is_exit_1(self, tmp_path, capsys):
+        # exp(1e-308) quantiles overflow above u ~ 0.83, in every chunk
+        spec = write_doc(tmp_path, "s.json", {
+            "copula": {"node": "shuffle", "gamma": 0.3}, "g1": U01,
+            "g2": {"kind": "exponential", "rate": 1e-308}})
+        assert main(["eta", "--spec", spec, *ETA_ARGS, "--workers", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "non-finite quantile draw" in captured.err
+
+
 class TestClassify:
     def test_boundary_class(self, tmp_path):
         spec = write_doc(tmp_path, "s.json", {"copula": {"node": "shuffle", "gamma": 0.3}})
@@ -362,10 +384,18 @@ class TestGoldenOutput:
          "f675b36b847d93aab2529424fbc5219f6a2e81b21060c73fe29bf89b8f6d15f1"),
         ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--gamma", "0.4"),
          "d70276cb0f5d9430144c3a68ebcb54fd15fd8a1b3ba15f26bdbe3e0c672f8b42"),
+        # the worker chunks run on threads (workers=1 is eta-monte_carlo-json);
+        # 3 workers make uneven chunks
+        ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--workers", "2"),
+         "45fbde8f2f4052201c4a5ba1950743a851783d683785e79251b13f72e1322cf9"),
+        ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--workers", "3"),
+         "def934f71fc1fc28bb74cfa23ba2ce152615cc16d941ad0524c5b896a0414b62"),
+        ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--workers", "2", "--gamma", "0.5"),
+         "d21e44f29c0a4afa0417d0067543afd8c1fe316c616491fa9bca7e8033889d01"),
     ], ids=["sample-json-w1", "sample-json-w2", "sample-csv-w1", "sample-csv-w2",
             "curve-json", "curve-csv", "rank-csv",
             *(f"eta-{route}-{fmt}" for route in GOLDEN_ETA for fmt in ("json", "csv")),
-            "eta-gamma"])
+            "eta-gamma", "eta-mc-w2", "eta-mc-w3", "eta-mc-w2-gamma"])
     def test_stdout_digest(self, tmp_path, command, doc, argv, digest):
         code, out = invoke([command, "--spec", write_doc(tmp_path, "d.json", doc), *argv])
         assert code == 0

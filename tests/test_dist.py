@@ -58,6 +58,17 @@ def test_scalars_give_floats_and_arrays_keep_their_shape(d):
         assert {type(x) for x in points} == {float}
         assert np.array_equal(out.ravel().view(np.int64), np.array(points).view(np.int64))
     assert np.isnan(d.cdf(np.nan)) and np.isnan(d.survival(np.nan))
+    if d.has_density:
+        assert np.isnan(d.density(np.nan))
+
+
+@pytest.mark.parametrize("d", [Uniform(0, 1), Uniform(-2, 3), UniformPower(1.0),
+                               UniformPower(2.0), UniformPower(3.0, reflected=True)],
+                         ids=repr)
+def test_density_lets_nan_through(d):
+    # the support mask is False at NaN, and t ** 0 is 1 even for t = NaN
+    out = d.density(np.array([np.nan, 0.5, 7.0]))
+    assert np.isnan(out[0]) and out[1] > 0.0 and out[2] == 0.0
 
 
 class TestQuantileExamples:
@@ -131,6 +142,14 @@ class TestCheckOrder:
         assert not r.holds
         assert r.witness is not None and r.witness < 0  # lower-tail crossing
         assert not order_holds_at("st", Normal(0, 1), Normal(1, 2), r.witness)
+
+    def test_st_failing_same_family_stays_closed_form(self):
+        # the cdfs cross at t = -100, where both underflow to 0; the grid
+        # sees no gap, and the closed-form verdict stands
+        r = check_order("st", Normal(0, 1), Normal(1, 1.01))
+        assert not r.holds and r.witness == pytest.approx(-100.0)
+        assert check_order("st", Normal(1, 1.01), Normal(0, 1)).holds is False
+        assert check_order("st", Normal(0, 1.01), Normal(1, 1)).holds is False
 
     def test_hr_lr_closed_forms(self):
         for rel in ("hr", "lr"):

@@ -2,6 +2,7 @@
 discrete sums, level checks, class verdicts, and the cross-route identities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Independence,
                           MarshallOlkinConnecting, MarshallOlkinSurvival,
-                          Mixture, OrderStatistics, Shuffle, survival_of,
-                          transpose)
+                          Mixture, OrderStatistics, Shuffle, sample_uv,
+                          survival_of, transpose)
 from spcop.dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                         Uniform, UniformPower)
 from spcop.errors import Inconclusive, NoDensity, SizeLimit, SpecError, UnknownMass
@@ -197,6 +198,32 @@ class TestMonteCarlo:
         with pytest.raises(SpecError):
             eta_mc(Independence(), BadDist(0, 1), Uniform(0, 1), 10_000, seed=37)
 
+    @pytest.mark.parametrize("points, eta", [
+        (((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)), "0x1.f7e28240b7803p-1"),
+        (((6.0, 0.3), (8.0, 0.4), (10.0, 0.3)), "0x1.01c432ca57a78p-1"),
+    ])
+    def test_threaded_chunks_keep_the_bits(self, points, eta):
+        # fresh atoms: both chunk threads find their cached arrays cold;
+        # digits recorded when the chunks ran one after the other
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            r = eta_mc(Gaussian(0.5), DiscreteAtoms(points), Normal(8, 4), 20_000, 7, 2)
+        finally:
+            sys.setswitchinterval(switch)
+        assert (r.eta.hex(), r.xi) == (eta, 0.0)
+
+    def test_counts_match_the_mean_of_the_whole_sample(self):
+        spec, g1, g2 = MarshallOlkinSurvival(0.4, 0.2), Uniform(0, 1), Exponential(1.0)
+        for workers in (1, 2, 3):
+            u, v, _, tie = sample_uv(spec, 30_001, 12, workers)
+            x1, x2 = g1.quantile(u), g2.quantile(v)
+            scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
+            ties = (x1 == x2) | (tie & (np.abs(x1 - x2) <= 1e-9 * scale))
+            r = eta_mc(spec, g1, g2, 30_001, 12, workers)
+            assert r.eta == float(np.mean((x1 <= x2) | ties))
+            assert r.xi == float(np.mean(ties))
+
     def test_seed_determinism(self):
         a = eta_mc(Gaussian(0.3), Normal(0, 1), Normal(1, 1), 50_000, seed=38)
         b = eta_mc(Gaussian(0.3), Normal(0, 1), Normal(1, 1), 50_000, seed=38)
@@ -362,6 +389,15 @@ class TestDispatchAndLevels:
     def test_sp_level_gives_exact_routes_slack(self):
         r = sp_level(Shuffle(0.3), Uniform(0, 1), Uniform(0, 1), 0.3 + 5e-13)
         assert r.holds and r.report.method == "closed_form" and r.report.eta == 0.3
+
+    @pytest.mark.parametrize("offset", [5e-13, 1e-10, 2e-9, 0.0, -1e-3])
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_sp_level_agrees_with_classify(self, offset, tol):
+        gamma = 0.3 + offset
+        r = sp_level(Shuffle(0.3), None, None, gamma, tol=tol)
+        assert r.holds == classify(Shuffle(0.3), gamma, tol=tol).in_L_gamma
+        r = sp_level(Shuffle(0.3), Uniform(0, 1), Uniform(0, 1), gamma, tol=tol)
+        assert r.holds == classify(Shuffle(0.3), gamma, tol=tol).in_L_gamma
 
     def test_sp_level_examples(self):
         assert sp_level(Shuffle(0.8), Uniform(0, 1), Uniform(0, 1), 0.5).holds
