@@ -6,7 +6,8 @@ Output is byte-identical for identical (command, input, seed, workers):
 no timestamps, no environment leakage, floats printed at 12 significant
 digits in CSV and full repr in JSON.
 
-Exit codes: 0 success, 1 schema/domain violation, 2 inconclusive verdict.
+Exit codes: 0 success, 1 malformed command line or schema/domain violation,
+2 inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -251,8 +252,16 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a SpecError, as a malformed document is;
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spcop",
         description="Stochastic precedence and tie mass for bivariate copulas")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -300,14 +300,13 @@ class PiecewiseLinearCdf(Distribution):
             i = idx[mid]
             x0, x1 = xs[i - 1], xs[i]
             p0, p1 = ps[i - 1], ps[i]
-            t = np.where(x1 > x0, (x[mid] - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
+            t = (x[mid] - x0) / (x1 - x0)
             out[mid] = p0 + t * (p1 - p0)
         return out
 
     def _quantile(self, p):
         xs, ps = self._xs, self._ps
-        idx = np.searchsorted(ps, p, side="left")
-        idx = np.minimum(idx, len(ps) - 1)
+        idx = np.searchsorted(ps, p, side="left")  # ps[-1] = 1 >= p
         out = np.empty_like(p)
         first = idx == 0
         out[first] = xs[0]
@@ -316,7 +315,7 @@ class PiecewiseLinearCdf(Distribution):
             i = idx[rest]
             p0, p1 = ps[i - 1], ps[i]
             x0, x1 = xs[i - 1], xs[i]
-            t = np.where(p1 > p0, (p[rest] - p0) / np.where(p1 > p0, p1 - p0, 1.0), 1.0)
+            t = (p[rest] - p0) / (p1 - p0)
             out[rest] = x0 + t * (x1 - x0)
         # p=0 -> infimum of support (last knot still at p=0); p=1 -> first knot at p=1
         zero = p == 0.0

@@ -101,13 +101,4 @@ def resolve_workers(workers=None) -> int:
     workers = 1 if workers is None else int(workers)
     if not 1 <= workers <= MAX_WORKERS:
         raise SpecError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    cap = os.environ.get("SP_COPULA_THREADS")
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError as exc:
-            raise SpecError(f"SP_COPULA_THREADS must be an integer, got {cap!r}") from exc
-        if cap < 1:
-            raise SpecError(f"SP_COPULA_THREADS must be at least 1, got {cap}")
-        workers = min(workers, cap)
     return workers

@@ -276,14 +276,7 @@ class TestDeterminism:
         _, out2 = invoke(list(argv))
         assert out1 == out2
 
-    def test_worker_count_recorded_and_capped(self, tmp_path, monkeypatch):
-        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
-        monkeypatch.setenv("SP_COPULA_THREADS", "2")
-        code, out = invoke(["eta", "--spec", spec, "--workers", "8"])
-        assert json.loads(out)["workers"] == 2
-
-    def test_worker_count_above_bound_is_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SP_COPULA_THREADS", raising=False)
+    def test_worker_count_above_bound_is_exit_1(self, tmp_path, capsys):
         assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
         with pytest.raises(SpecError):
             resolve_workers(MAX_WORKERS + 1)
@@ -293,8 +286,7 @@ class TestDeterminism:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
 
-    def test_worker_count_below_one_is_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SP_COPULA_THREADS", raising=False)
+    def test_worker_count_below_one_is_exit_1(self, tmp_path, capsys):
         assert resolve_workers(None) == 1
         for count in (0, -5):
             with pytest.raises(SpecError):
@@ -304,24 +296,6 @@ class TestDeterminism:
             assert main(["sample", "--spec", spec, "--samples", "10", "--workers", count]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
-
-    def test_non_integer_thread_cap_is_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SP_COPULA_THREADS", "two")
-        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
-        assert main(["eta", "--spec", spec]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_thread_cap_below_one_is_exit_1(self, tmp_path, capsys, monkeypatch, cap):
-        monkeypatch.setenv("SP_COPULA_THREADS", cap)
-        with pytest.raises(SpecError):
-            resolve_workers(2)
-        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
-        assert main(["sample", "--spec", spec, "--samples", "2", "--workers", "2",
-                     "--output", "csv"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 # a mixture with an absolutely continuous part, a singular part without ties
@@ -400,6 +374,15 @@ class TestGoldenOutput:
         code, out = invoke([command, "--spec", write_doc(tmp_path, "d.json", doc), *argv])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_the_environment_leaves_the_chunk_layout_alone(self, tmp_path, monkeypatch):
+        # --workers alone sets the chunk layout, whatever the environment holds
+        monkeypatch.setenv("SP_COPULA_THREADS", "1")
+        code, out = invoke(["eta", "--spec", write_doc(tmp_path, "d.json", GOLDEN_ETA["monte_carlo"]),
+                            *ETA_ARGS, "--workers", "2"])
+        assert code == 0 and json.loads(out)["workers"] == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "45fbde8f2f4052201c4a5ba1950743a851783d683785e79251b13f72e1322cf9")
 
     @pytest.mark.parametrize("fmt,digest", [
         ("json", "baa9193a767ab15f2816b7ecfdb442b58db12b1f93955cce2668ff8654424bf4"),
@@ -520,6 +503,28 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["eta", "--output", "xml"],
+        ["eta", "--samples", "abc"],
+        ["eta", "--bogus"],
+        ["bogus"],
+        [],
+    ], ids=["bad-choice", "non-integer", "unknown-flag", "unknown-command", "no-command"])
+    def test_malformed_command_line_is_exit_1(self, tmp_path, capsys, argv):
+        spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
+        if argv:
+            argv = [*argv, "--spec", spec]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eta", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["eta", "classify"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])

@@ -1,6 +1,8 @@
 """Distribution operations: cdf/quantile contracts, class-G detection,
 stochastic-order checks and the pointwise-min construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +114,21 @@ class TestClassG:
         assert rising.is_class_g
         jump = PiecewiseLinearCdf(((0, 0), (1, 0.3), (1, 0.7), (2, 1)))
         assert not jump.is_class_g
+
+
+def test_pwl_bits_at_and_beside_the_knots():
+    # a flat start, a jump at 1 and a flat interior segment on [1, 3],
+    # probed on each knot and on both of its float neighbours
+    knots = ((-1, 0), (0, 0), (1, 0.3), (1, 0.6), (2, 0.6), (3, 0.6), (4, 1))
+    dist = PiecewiseLinearCdf(knots)
+    xs, ps = np.array(knots, dtype=float).T
+    x = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                        np.linspace(-2, 5, 141)])
+    p = np.concatenate([[0.0], ps, [1.0], np.clip(np.nextafter(ps, -np.inf), 0, 1),
+                        np.clip(np.nextafter(ps, np.inf), 0, 1), np.linspace(0, 1, 101)])
+    out = np.concatenate([dist.cdf(x), dist.quantile(p)])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "f6d24dbc0006cee5ac2d180deaf00c0bb2ba5b7dc032c0b4125d8fb604ed67b1")
 
 
 @pytest.mark.parametrize("dist", CLASS_G_SAMPLES, ids=lambda d: repr(d))

@@ -32,8 +32,7 @@ def test_pool_size_is_bounded_by_workers_and_cpus():
     assert pool_size(MAX_WORKERS) == CPUS
 
 
-def test_no_thread_outlives_a_call_and_none_beyond_the_pool(monkeypatch):
-    monkeypatch.delenv("SP_COPULA_THREADS", raising=False)
+def test_no_thread_outlives_a_call_and_none_beyond_the_pool():
     before = threading.active_count()
     seen = []
 
