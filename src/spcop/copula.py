@@ -261,7 +261,10 @@ class Gaussian(CopulaSpec):
 
     def closed_eta_xi_with(self, g1, g2):
         if isinstance(g1, Normal) and isinstance(g2, Normal):  # X2 - X1 is normal
-            denom = math.sqrt(g1.sd ** 2 + g2.sd ** 2 - 2.0 * self.rho * g1.sd * g2.sd)
+            try:
+                denom = math.sqrt(g1.sd ** 2 + g2.sd ** 2 - 2.0 * self.rho * g1.sd * g2.sd)
+            except OverflowError:  # an sd past 1.3e154: no closed form in floats
+                denom = 0.0
             if denom > 0.0:
                 z = (g2.mean - g1.mean) / denom
                 return 0.5 * math.erfc(-z / math.sqrt(2.0)), 0.0
@@ -409,8 +412,7 @@ class Mixture(CopulaSpec):
     def sample_arrays(self, rng, n):
         cum = np.cumsum(self.weights)
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        idx = np.minimum(idx, len(self.components) - 1)
+        idx = np.searchsorted(cum, rng.random(n), side="right")  # draws < 1 = cum[-1]
         u = np.empty(n)
         v = np.empty(n)
         sing = np.empty(n, dtype=bool)

@@ -100,8 +100,9 @@ class Uniform(Distribution):
     is_class_g = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise SpecError(f"uniform needs a < b, got ({self.a}, {self.b})")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b
+                and np.isfinite(self.b - self.a)):
+            raise SpecError(f"uniform needs a < b and a finite b - a, got ({self.a}, {self.b})")
 
     def discontinuities(self):
         return np.array([self.a, self.b])
@@ -249,10 +250,8 @@ class DiscreteAtoms(Distribution):
     def _cdf(self, x):  # NaN sorts past every atom
         return np.where(np.isnan(x), x, self._edges[np.searchsorted(self._xs, x, side="right")])
 
-    def _quantile(self, p):
-        idx = np.searchsorted(self._cum, p, side="left")
-        idx = np.minimum(idx, len(self.points) - 1)
-        return np.where(p == 0.0, self._xs[0], self._xs[idx])
+    def _quantile(self, p):  # _cum[0] > 0 and _cum[-1] == 1: p=0 and p=1 find an atom
+        return self._xs[np.searchsorted(self._cum, p, side="left")]
 
     def discontinuities(self):
         return self._xs.copy()
@@ -356,12 +355,16 @@ def quantile_grid(dists, m):
     """m quantile-spaced points of the equal-weight mixture of `dists`,
     plus every atom/knot (and its left limit)."""
     p = (np.arange(m) + 0.5) / m
-    lo = min(d.quantile(min(p[0], 1e-9)) for d in dists)
-    hi = max(d.quantile(max(p[-1], 1.0 - 1e-9)) for d in dists)
+    # p[0] = 0.5/m stays above 1e-9 for every grid below 5e8 points
+    tails = [d.quantile(np.array([1e-9, 1.0 - 1e-9])) for d in dists]
+    lo = min(t[0] for t in tails)
+    hi = max(t[1] for t in tails)
     if not np.isfinite(lo):
-        lo = min(d.quantile(1e-12) for d in dists if np.isfinite(d.quantile(1e-12)))
+        lo = min((q for d in dists if np.isfinite(q := d.quantile(1e-12))), default=None)
     if not np.isfinite(hi):
-        hi = max(d.quantile(1.0 - 1e-12) for d in dists if np.isfinite(d.quantile(1.0 - 1e-12)))
+        hi = max((q for d in dists if np.isfinite(q := d.quantile(1.0 - 1e-12))), default=None)
+    if lo is None or hi is None:
+        raise SpecError("cannot grid these laws: none has a finite quantile in one of the tails")
     lo_v = np.full(m, lo)
     hi_v = np.full(m, hi)
     for _ in range(60):
@@ -371,7 +374,7 @@ def quantile_grid(dists, m):
         lo_v = np.where(go_right, mid, lo_v)
         hi_v = np.where(go_right, hi_v, mid)
     pts = [0.5 * (lo_v + hi_v)]
-    for d in dists:
+    for d, t in zip(dists, tails):
         disc = d.discontinuities()
         if disc.size:
             pts.append(disc)
@@ -379,8 +382,7 @@ def quantile_grid(dists, m):
             # whose density is positive at the endpoint and zero past it
             pts.append(np.nextafter(disc, -np.inf))
             pts.append(np.nextafter(disc, np.inf))
-        tails = np.array([d.quantile(1e-9), d.quantile(1.0 - 1e-9)])
-        pts.append(tails[np.isfinite(tails)])
+        pts.append(t[np.isfinite(t)])
     return np.unique(np.concatenate(pts))
 
 
@@ -395,7 +397,8 @@ def _st_verdict(g1, g2, grid):
 
 
 def _same_family_st(g1, g2):
-    """(holds, witness) when an analytic criterion pins the verdict, else None."""
+    """(holds, witness) when an analytic criterion pins the verdict, else None.
+    Exponential, normal and uniform pairs are st, hr and lr ordered alike."""
     if isinstance(g1, Exponential) and isinstance(g2, Exponential):
         if g1.rate >= g2.rate:
             return True, None
@@ -407,6 +410,9 @@ def _same_family_st(g1, g2):
             return False, 0.5 * (g1.mean + g2.mean)
         # unequal sd: the cdfs cross, pick the violating side of the crossing
         x_star = (g2.mean * g1.sd - g1.mean * g2.sd) / (g1.sd - g2.sd)
+        if not np.isfinite(x_star):  # the products overflow, not the crossing
+            s1, s2 = g1.sd / max(g1.sd, g2.sd), g2.sd / max(g1.sd, g2.sd)
+            x_star = (g2.mean * s1 - g1.mean * s2) / (s1 - s2)
         span = 3.0 * (g1.sd + g2.sd)
         for t in (x_star - span, x_star + span, x_star - 5 * span, x_star + 5 * span):
             if g1.cdf(t) < g2.cdf(t) - _EPS:
@@ -421,12 +427,14 @@ def _same_family_st(g1, g2):
     return None
 
 
-def _ratio_monotone(vals, ts, ratio_fn):
-    """Check a nondecreasing (log-)ratio sequence; infs encode zero densities.
-    nan entries (both inputs vanish there, e.g. a gap between disjoint
-    supports) sit outside the comparison domain and are dropped, so a drop
-    across such a gap is still caught. On failure, bisect the violating pair
-    down to a point where the local decrease is re-observable."""
+def _ratio_monotone(ts, ratio):
+    """Check that the log-ratio `ratio` is nondecreasing on the grid ts;
+    infs encode zero densities. nan entries (both inputs vanish there, e.g. a
+    gap between disjoint supports) sit outside the comparison domain and are
+    dropped, so a drop across such a gap is still caught. On failure, bisect
+    the violating pair down to a point where the local decrease is
+    re-observable."""
+    vals = ratio(ts)
     keep = ~np.isnan(vals)
     vals = vals[keep]
     ts = ts[keep]
@@ -438,12 +446,12 @@ def _ratio_monotone(vals, ts, ratio_fn):
         return True, None
     i = int(np.argmax(bad))
     a, b = float(ts[i]), float(ts[i + 1])
-    ra, rb = ratio_fn(a), ratio_fn(b)
+    ra, rb = ratio(a), ratio(b)
     for _ in range(80):
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
-        rm = ratio_fn(m)
+        rm = ratio(m)
         if not np.isnan(rm) and rm < ra - 1e-12:
             b, rb = m, rm
         elif not np.isnan(rm) and rb < rm - 1e-12:
@@ -453,20 +461,13 @@ def _ratio_monotone(vals, ts, ratio_fn):
     return False, a
 
 
-def _log_density(g, ts):
-    with np.errstate(divide="ignore"):
-        return np.log(g.density(ts))
-
-
-def _log_survival(g, ts):
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(g.survival(ts), 0.0))
-
-
-def _log_ratio(log_fn, g1, g2, t):
-    """log_fn(g2) - log_fn(g1) at the one point t."""
-    with np.errstate(invalid="ignore"):
-        return log_fn(g2, t) - log_fn(g1, t)
+def _log_ratio(relation, g1, g2, t):
+    """log(f2 / f1) at t, of the densities (lr) or the survival functions
+    (hr); nan where both vanish."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1, f2 = (g.density(t) if relation == "lr" else np.maximum(g.survival(t), 0.0)
+                  for g in (g1, g2))
+        return np.log(f2) - np.log(f1)
 
 
 def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 512) -> OrderCheckResult:
@@ -474,45 +475,33 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
 
     st compares cdfs pointwise; hr the survival ratio's monotonicity; lr the
     density ratio's monotonicity (both on the log scale). Same-family
-    exponential / normal / uniform pairs short-circuit to the analytic
-    criterion, so those verdicts are exact. A failing hr/lr pair takes its
-    witness from the grid, since the st witness need not show the ratio drop,
-    and keeps the st witness when the drop lies outside the grid; a failing
-    st pair does the same when its closed-form witness shows no gap.
+    exponential / normal / uniform pairs take the analytic criterion, so
+    those verdicts are exact. A failing pair takes its witness from the grid,
+    since the closed-form witness need not show the ratio drop (or, for st,
+    may show no gap in double precision), and keeps the closed-form witness
+    when the grid sees no violation either. A failing st pair whose
+    closed-form witness shows its gap needs no grid.
     """
     if relation not in ("st", "hr", "lr"):
         raise SpecError(f"unknown order relation {relation!r}")
     if grid < 64:
         raise SpecError("order-check grid must be at least 64")
-
-    if relation in ("hr", "lr"):
-        if not (g1.has_density and g2.has_density):
-            raise UnsupportedOrder(f"{relation} ordering needs closed-form densities")
-        # same criterion for exp/normal/uniform
-        analytic = _same_family_st(g1, g2) if type(g1) is type(g2) else None
-        if analytic == (True, None):
-            return OrderCheckResult(relation, True, None, grid)
-        ts = quantile_grid((g1, g2), grid)
-        log_fn = _log_density if relation == "lr" else _log_survival
-        l1, l2 = log_fn(g1, ts), log_fn(g2, ts)
-        with np.errstate(invalid="ignore"):  # -inf minus -inf where both vanish
-            vals = np.where(np.isneginf(l1) & np.isneginf(l2), np.nan, l2 - l1)
-        holds, witness = _ratio_monotone(vals, ts, partial(_log_ratio, log_fn, g1, g2))
-        if holds and analytic is not None:
-            holds, witness = analytic
-        return OrderCheckResult(relation, holds, witness, grid)
+    if relation != "st" and not (g1.has_density and g2.has_density):
+        raise UnsupportedOrder(f"{relation} ordering needs closed-form densities")
 
     analytic = _same_family_st(g1, g2)
     if analytic is not None:
         holds, witness = analytic
-        if not holds and order_holds_at("st", g1, g2, witness):
-            # the closed-form witness shows no gap in double precision (both
-            # cdfs may underflow there); the grid only looks for one that does
-            seen, grid_witness = _st_verdict(g1, g2, max(grid, 4096))
-            witness = witness if seen else grid_witness
-        return OrderCheckResult("st", holds, witness, grid)
-    holds, witness = _st_verdict(g1, g2, grid)
-    return OrderCheckResult("st", holds, witness, grid)
+        if holds or (relation == "st" and not order_holds_at("st", g1, g2, witness)):
+            return OrderCheckResult(relation, holds, witness, grid)
+    if relation == "st":
+        holds, witness = _st_verdict(g1, g2, grid if analytic is None else max(grid, 4096))
+    else:
+        holds, witness = _ratio_monotone(quantile_grid((g1, g2), grid),
+                                         partial(_log_ratio, relation, g1, g2))
+    if holds and analytic is not None:
+        holds, witness = analytic
+    return OrderCheckResult(relation, holds, witness, grid)
 
 
 def order_holds_at(relation: str, g1: Distribution, g2: Distribution, t: float) -> bool:
@@ -523,8 +512,7 @@ def order_holds_at(relation: str, g1: Distribution, g2: Distribution, t: float) 
     where only a crossing step reveals the ratio drop)."""
     if relation == "st":
         return g1.cdf(t) >= g2.cdf(t) - _EPS
-    log_fn = _log_survival if relation == "hr" else _log_density
-    ratio = partial(_log_ratio, log_fn, g1, g2)
+    ratio = partial(_log_ratio, relation, g1, g2)
     r0 = ratio(t)
     scale = max(1.0, abs(t))
     for step in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
@@ -561,8 +549,6 @@ def pointwise_min_cdf(g: Distribution, h: Distribution) -> Distribution:
         keep = probs > 1e-15
         return DiscreteAtoms(tuple(zip(xs[keep].tolist(), probs[keep].tolist())))
     vals = np.maximum.accumulate(np.clip(np.minimum(gv, hv), 0.0, 1.0))
-    ts, idx = np.unique(ts, return_index=True)
-    vals = vals[idx]
     pad = max(1.0, 0.05 * (ts[-1] - ts[0]))
     knots = [(ts[0] - pad, 0.0)]
     knots += list(zip(ts.tolist(), vals.tolist()))

@@ -232,7 +232,8 @@ def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
 
     Monte Carlo verdicts inside the 3-sigma band of gamma raise Inconclusive
     instead of guessing; the exception carries the report. Verdicts of the
-    other routes allow eta to fall short of gamma by tol, as classify does.
+    other routes allow eta to fall short of gamma by tol; classify's L_gamma
+    verdict is this one.
     """
     if not (0.0 <= gamma <= 1.0):
         raise SpecError(f"gamma must lie in [0,1], got {gamma}")
@@ -245,13 +246,11 @@ def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
 
 
 def classify(spec: CopulaSpec, gamma: float, tol: float = 1e-9) -> ClassVerdict:
-    """Membership verdicts for the level classes: eta >= gamma and eta == gamma."""
-    if not (0.0 <= gamma <= 1.0):
-        raise SpecError(f"gamma must lie in [0,1], got {gamma}")
-    eta, _xi = spec.closed_eta_xi()
-    in_l = eta >= gamma - tol
-    in_b = abs(eta - gamma) <= tol
-    return ClassVerdict(gamma, bool(in_l), bool(in_b), float(eta), float(tol))
+    """Membership verdicts for the level classes: eta >= gamma, which is
+    sp_level's verdict on the copula alone, and eta == gamma within tol."""
+    level = sp_level(spec, None, None, gamma, tol=tol)
+    eta = level.report.eta
+    return ClassVerdict(gamma, level.holds, abs(eta - gamma) <= tol, eta, float(tol))
 
 
 def eta_lower_bound(spec: CopulaSpec, g1: Distribution, g2: Distribution) -> dict:

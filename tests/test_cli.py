@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spcop.cli import CURVE_VALUE_BUDGET, _emit_table, _metadata, main, run
-from spcop.errors import SpecError
+from spcop.errors import SpcopError, SpecError
 from spcop.rng import MAX_WORKERS, resolve_workers
 
 
@@ -119,6 +119,13 @@ class TestClassify:
     def test_gamma_required(self, tmp_path):
         spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
         assert main(["classify", "--spec", spec]) == 1
+
+    def test_missing_key_is_exit_1(self, tmp_path, capsys):
+        spec = write_doc(tmp_path, "s.json", {"g1": {"kind": "uniform", "a": 0, "b": 1}})
+        assert main(["classify", "--spec", spec, "--gamma", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input document is missing 'copula'\n"
 
 
 class TestOrder:
@@ -603,6 +610,80 @@ class TestMalformedInputs:
         code, out = invoke(["curve", "--spec", spec, "--output", "csv"])
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert code == 0 and len(body) == 1 + CURVE_VALUE_BUDGET
+
+
+class TestExtremeLaws:
+    """Valid laws at the ends of the float range end in exit 0 with finite
+    numbers or in exit 1 with an error line, never in a traceback."""
+
+    @pytest.mark.parametrize("command,doc,argv", [
+        ("order", {"g1": {"kind": "exponential", "rate": 1e-308},
+                   "g2": {"kind": "exponential", "rate": 2e-308}}, ["--relation", "hr"]),
+        *(("order", {"g1": {"kind": "exponential", "rate": 1e-308},
+                     "g2": {"kind": "normal", "mean": 0, "sd": 1e308}}, ["--relation", rel])
+          for rel in ("st", "hr", "lr")),
+        ("eta", {"copula": {"node": "gaussian", "rho": 0.5},
+                 "g1": {"kind": "normal", "mean": 0, "sd": 1},
+                 "g2": {"kind": "normal", "mean": 0, "sd": 1e308}}, []),
+        ("order", {"g1": {"kind": "normal", "mean": -1, "sd": 100},
+                   "g2": {"kind": "normal", "mean": 1e307, "sd": 1}}, []),
+        *((command, {"copula": {"node": "independence"},
+                     "g1": {"kind": "uniform", "a": -1e308, "b": 1e308},
+                     "g2": {"kind": "atoms", "points": [[-1e308, 0.5], [1e308, 0.5]]}}, [])
+          for command in ("order", "eta")),
+    ], ids=["hr-tiny-rates", "st-tiny-rate-huge-sd", "hr-tiny-rate-huge-sd",
+            "lr-tiny-rate-huge-sd", "gaussian-huge-sd", "normal-crossing-overflow",
+            "order-uniform-infinite-width", "eta-uniform-infinite-width"])
+    def test_repro(self, tmp_path, capsys, command, doc, argv):
+        spec = write_doc(tmp_path, "s.json", doc)
+        code = main([command, "--spec", spec, "--samples", "20000", *argv])
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        else:
+            assert code == 0
+            json.loads(captured.out, parse_constant=pytest.fail)
+
+
+@st.composite
+def extreme_laws(draw):
+    """A uniform, exponential, normal, uniform_power or 2-atom law whose
+    parameters are magnitudes 10**e, e in [-307, 307]."""
+    def mag():
+        return 10.0 ** draw(st.integers(-307, 307))
+
+    def signed():
+        return draw(st.sampled_from((-1.0, 1.0))) * mag()
+
+    kind = draw(st.sampled_from(("uniform", "exponential", "normal", "uniform_power", "atoms")))
+    if kind == "uniform":
+        a = signed()
+        return {"kind": kind, "a": a, "b": a + mag()}
+    if kind == "exponential":
+        return {"kind": kind, "rate": mag()}
+    if kind == "normal":
+        return {"kind": kind, "mean": signed(), "sd": mag()}
+    if kind == "uniform_power":
+        return {"kind": kind, "k": mag(), "reflected": draw(st.booleans())}
+    x = signed()
+    p = draw(st.floats(0.01, 0.99))
+    return {"kind": kind, "points": [[x, p], [x + mag(), 1.0 - p]]}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(g1=extreme_laws(), g2=extreme_laws(), relation=st.sampled_from(("st", "hr", "lr")),
+       copula=st.sampled_from(({"node": "gaussian", "rho": 0.5}, {"node": "independence"},
+                               {"node": "shuffle", "gamma": 0.3})))
+def test_extreme_laws_give_finite_numbers_or_an_error(tmp_path_factory, g1, g2, relation, copula):
+    spec = write_doc(tmp_path_factory.mktemp("extreme"), "s.json",
+                     {"copula": copula, "g1": g1, "g2": g2})
+    for argv in (["order", "--relation", relation], ["eta", "--samples", "10000"]):
+        try:
+            code, out = invoke([*argv, "--spec", spec])
+        except SpcopError:
+            continue
+        assert code in (0, 2)
+        json.loads(out, parse_constant=pytest.fail)  # called on NaN and +-Infinity
 
 
 def test_cli_import_leaves_scipy_out():

@@ -264,6 +264,13 @@ class TestSampling:
         assert np.mean(sing) == pytest.approx(0.25, abs=0.01)
         assert np.array_equal(u[tie], v[tie])
 
+    def test_mixture_sample_bits_with_a_zero_weight(self):
+        m = Mixture((Independence(), Shuffle(0.3), Gaussian(0.5)), (0.5, 0.0, 0.5))
+        u, v, sing, tie = sample_uv(m, 20_000, seed=11, workers=2)
+        assert not sing.any()  # the shuffle, the only singular part, has weight 0
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (u, v, sing, tie))).hexdigest()
+        assert digest == "d3b4d7c70b82f23bfb1b1449c4ed4b82e8d55827f88fb1dcde6ccc1b9e87c2a9"
+
 
 class TestSingularMass:
     def test_examples(self):

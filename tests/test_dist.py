@@ -97,6 +97,20 @@ class TestQuantileExamples:
                         d.quantile(arg)
 
 
+def test_atoms_quantile_bits_at_and_beside_the_cumulative_weights():
+    # p = 0, each cumulative weight and both its float neighbours, and p = 1;
+    # the second law's weights sum past 1, so its cdf is capped there
+    out = []
+    for d in (DiscreteAtoms(((-1.0, 0.2), (0.5, 0.3), (2.0, 0.1), (3.0, 0.4))),
+              DiscreteAtoms(((0, 0.6), (1, 0.4 + 2e-13), (2, 1e-13)))):
+        c = d._cum
+        p = np.concatenate([[0.0], c, np.nextafter(c, -np.inf),
+                            np.minimum(np.nextafter(c, np.inf), 1.0), [1.0]])
+        out.append(d.quantile(p))
+    assert hashlib.sha256(np.concatenate(out).tobytes()).hexdigest() == (
+        "bd107ab05511e30f3d56a2aad9e812071e12c3bd95889beb576611150aae5952")
+
+
 class TestClassG:
     def test_closed_forms(self):
         assert Normal(0, 1).is_class_g
@@ -216,6 +230,21 @@ class TestCheckOrder:
         assert Shifted().has_density and not DiscreteAtoms(((0.0, 1.0),)).has_density
         assert check_order("hr", Exponential(1.0), Shifted()).holds
 
+    def test_normal_crossing_whose_products_overflow(self):
+        # mean * sd overflows; the crossing itself, 1e307 / 0.99, does not
+        r = check_order("st", Normal(-1, 100), Normal(1e307, 1))
+        assert not r.holds and r.witness == pytest.approx(1e307 / 0.99)
+
+    def test_subclass_of_a_builtin_kind_takes_the_closed_form(self):
+        class Local(Normal):
+            pass
+
+        # the ratio drops only below t ~ -49.7, outside the quantile grid
+        for rel in ("st", "hr", "lr"):
+            assert check_order(rel, Local(0, 1), Normal(1, 1.01)) == check_order(
+                rel, Normal(0, 1), Normal(1, 1.01))
+            assert not check_order(rel, Local(0, 1), Normal(1, 1.01)).holds
+
     def test_st_with_atoms(self):
         a = DiscreteAtoms(((0.0, 0.5), (1.0, 0.5)))
         b = DiscreteAtoms(((0.5, 0.5), (2.0, 0.5)))
@@ -225,6 +254,52 @@ class TestCheckOrder:
     def test_grid_floor(self):
         with pytest.raises(SpecError):
             check_order("st", Uniform(0, 1), Uniform(0, 1), grid=32)
+
+
+def order_digest_pairs():
+    """Seeded same- and cross-family pairs of every kind, plus two pinned ones."""
+    rng = np.random.default_rng(20130)
+    draw = {
+        "uniform": lambda: Uniform(float(a := rng.uniform(-2, 2)), float(a + rng.uniform(0.2, 3))),
+        "exponential": lambda: Exponential(float(rng.uniform(0.2, 4))),
+        "normal": lambda: Normal(float(rng.uniform(-2, 2)),
+                                 float(rng.choice([1.0, rng.uniform(0.3, 3)]))),
+        "uniform_power": lambda: UniformPower(float(rng.uniform(0.3, 4)), bool(rng.random() < 0.5)),
+        "atoms": lambda: DiscreteAtoms(((float(x := rng.uniform(-2, 1)), 0.25),
+                                        (float(x + rng.uniform(0.1, 2)), 0.75))),
+        "pwl": lambda: PiecewiseLinearCdf(((float(x := rng.uniform(-2, 1)), 0.0),
+                                           (float(x + 1.0), 0.4), (float(x + 2.5), 1.0))),
+    }
+    kinds = sorted(draw)
+    pairs = [(Normal(0, 1), Normal(1, 1.01)), (Exponential(0.5), Exponential(1.0))]
+    for kind in ("uniform", "exponential", "normal"):
+        pairs += [(draw[kind](), draw[kind]()) for _ in range(6)]
+    pairs += [(draw[kinds[rng.integers(6)]](), draw[kinds[rng.integers(6)]]())
+              for _ in range(30)]
+    return pairs
+
+
+def test_order_check_digest():
+    # (relation, holds, witness.hex(), grid) of every pair, relation and grid
+    rows = []
+    for g1, g2 in order_digest_pairs():
+        for relation in ("st", "hr", "lr"):
+            for grid in (64, 512):
+                try:
+                    r = check_order(relation, g1, g2, grid=grid)
+                except UnsupportedOrder:
+                    rows.append((relation, "unsupported", grid))
+                    continue
+                witness = None if r.witness is None else float(r.witness).hex()
+                rows.append((r.relation, r.holds, witness, r.grid_size))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "403fc192566d7de7f06a40ad98ca66e02f702e68f38642c263ab8c6f5971c3ff")
+
+
+def test_quantile_grid_refuses_a_pair_without_finite_tails():
+    # the upper tail quantiles of a 1e-308 rate overflow: no upper bisection bound
+    with pytest.raises(SpecError, match="finite quantile"):
+        quantile_grid((Exponential(1e-308), Exponential(2e-308)), 64)
 
 
 def test_order_hierarchy_lr_implies_hr_implies_st():
@@ -350,6 +425,8 @@ class TestValidationAndJson:
     def test_uniform_validation(self):
         with pytest.raises(SpecError):
             Uniform(1.0, 1.0)
+        with pytest.raises(SpecError, match="finite b - a"):  # b - a overflows
+            Uniform(-1e308, 1e308)
 
     @pytest.mark.parametrize("d", JSON_EXAMPLES, ids=lambda d: repr(d))
     def test_json_roundtrip(self, d):

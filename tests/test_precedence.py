@@ -113,6 +113,19 @@ class TestClosedFormsWithMarginals:
         # strict precedence = eta - xi
         assert eta - xi == pytest.approx(0.12 / 0.52, abs=1e-12)
 
+    def test_gaussian_mixture_with_normal_marginals(self):
+        spec = Mixture((Gaussian(0.3), Gaussian(-0.6)), (0.4, 0.6))
+        g1, g2 = Normal(0, 1), Normal(0.5, 2)
+        eta, xi = eta_exact(spec, g1, g2)
+        assert xi == 0.0
+        assert eta == pytest.approx(eta_quadrature(spec, g1, g2, tol=1e-10).eta, abs=1e-8)
+
+    def test_gaussian_sd_past_the_square_range_has_no_closed_form(self):
+        # sd ** 2 overflows; quadrature answers instead
+        assert eta_exact(Gaussian(0.5), Normal(0, 1), Normal(0, 1e308)) is None
+        r = best_eta_report(Gaussian(0.5), Normal(0, 1), Normal(0, 1e308))
+        assert r.method == "quadrature" and r.eta == pytest.approx(0.5)
+
     def test_mo_connecting_mismatched_rates_not_in_registry(self):
         assert eta_exact(MarshallOlkinConnecting(0.4, 0.2), Exponential(1.0), Exponential(5.0)) is None
 
@@ -243,6 +256,15 @@ class TestQuadrature:
     def test_independence_shifted_uniforms(self):
         r = eta_quadrature(Independence(), Uniform(0, 1), Uniform(0.5, 1.5), tol=1e-9)
         assert abs(r.eta - 7.0 / 8.0) < 1e-9
+
+    def test_transposed_mixture_and_survival_keep_the_flip_identity(self):
+        # the transpose's d/du C is the inner node's d/dv C
+        g1, g2 = Uniform(0, 1), Exponential(2.0)
+        for spec in (Mixture((OrderStatistics(), Gaussian(0.4)), (0.3, 0.7)),
+                     survival_of(OrderStatistics())):
+            flipped = eta_quadrature(transpose(spec), g1, g2, tol=1e-10).eta
+            assert flipped == pytest.approx(1.0 - eta_quadrature(spec, g2, g1, tol=1e-10).eta,
+                                            abs=1e-8)
 
     def test_mixture_of_continuous(self):
         spec = Mixture([Independence(), Gaussian(0.4)], [0.5, 0.5])
@@ -420,6 +442,15 @@ class TestDispatchAndLevels:
         assert not classify(Shuffle(0.3), 0.5).in_L_gamma
         v = classify(Independence(), 0.5)
         assert v.in_L_gamma and v.in_B_gamma
+
+    def test_classify_without_a_closed_form(self):
+        class Local(CopulaSpec):
+            node = "local"
+
+        with pytest.raises(UnknownMass, match="no closed form for this copula"):
+            classify(Local(), 0.5)
+        with pytest.raises(SpecError, match="gamma must lie in"):
+            classify(Shuffle(0.3), 1.5)
 
     def test_classify_consistency_invariant(self):
         rng = np.random.default_rng(45)
