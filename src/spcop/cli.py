@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 from . import __version__
@@ -245,10 +246,25 @@ def _cmd_curve(args, doc, stream):
     return 0
 
 
-_DISPATCH = {
-    "eta": _cmd_eta, "xi": _cmd_eta, "classify": _cmd_classify,
-    "order": _cmd_order, "rank": _cmd_rank, "sample": _cmd_sample,
-    "verify": _cmd_verify, "curve": _cmd_curve,
+_FLAGS = {  # every flag once, with its argparse keywords
+    "spec": {"help": "path to the JSON input document"},
+    "samples": {"type": int, "default": 10 ** 6}, "seed": {"type": int, "default": 0},
+    "workers": {"type": int, "default": 1}, "tol": {"type": float, "default": 1e-9},
+    "gamma": {"type": float}, "grid": {"type": int, "default": 512},
+    "relation": {"choices": ("st", "hr", "lr"), "default": "st"},
+    "output": {"choices": ("json", "csv"), "default": "json"},
+}
+# each command's handler and the flags it reads besides --output; verify reads no
+# document and takes --spec only because bench/run.py passes it to every request
+_COMMANDS = {
+    "eta": (_cmd_eta, "spec samples seed workers tol gamma"),
+    "xi": (_cmd_eta, "spec samples seed workers tol gamma"),
+    "classify": (_cmd_classify, "spec tol gamma"),
+    "order": (_cmd_order, "spec grid relation"),
+    "rank": (_cmd_rank, "spec samples seed workers"),
+    "sample": (_cmd_sample, "spec samples seed workers"),
+    "verify": (_cmd_verify, "spec samples seed"),
+    "curve": (_cmd_curve, "spec samples seed workers tol"),
 }
 
 
@@ -265,42 +281,41 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spcop",
         description="Stochastic precedence and tie mass for bivariate copulas")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--spec", default=None, help="path to the JSON input document")
-        p.add_argument("--samples", type=int, default=10 ** 6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--grid", type=int, default=512)
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--relation", choices=("st", "hr", "lr"), default="st")
+        # the metadata records seed, samples and workers, taken or not
+        p.set_defaults(**{key: _FLAGS[key]["default"] for key in ("seed", "samples", "workers")})
+        for flag in (*flags.split(), "output"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise SpecError(f"--tol must be a finite number >= 0, got {args.tol}")
     if args.seed < 0:
         raise SpecError(f"--seed must be >= 0, got {args.seed}")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise SpecError(f"--samples must lie in [1, {MAX_SAMPLES}], got {args.samples}")
-    if args.grid > MAX_GRID:
+    if "grid" in args and args.grid > MAX_GRID:
         raise SpecError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
     args.workers = resolve_workers(args.workers)
     if args.command != "verify" and args.spec is None:
         raise SpecError(f"{args.command} needs --spec <path>")
     doc = _load_doc(args.spec)
-    return _DISPATCH[args.command](args, doc, stream)
+    return _COMMANDS[args.command][0](args, doc, stream)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     buffer = io.StringIO()
     try:
-        code = run(argv, buffer)
+        # numpy's overflow notes would precede the error line; the chunk
+        # threads read this filter too, as they would not read np.errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(argv, buffer)
     except SpcopError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

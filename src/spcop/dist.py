@@ -351,6 +351,14 @@ class OrderCheckResult:
     grid_size: int
 
 
+def _midpoint(lo, hi):
+    """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where the sum overflows, so
+    every finite midpoint keeps its bits."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+
+
 def quantile_grid(dists, m):
     """m quantile-spaced points of the equal-weight mixture of `dists`,
     plus every atom/knot (and its left limit)."""
@@ -368,12 +376,12 @@ def quantile_grid(dists, m):
     lo_v = np.full(m, lo)
     hi_v = np.full(m, hi)
     for _ in range(60):
-        mid = 0.5 * (lo_v + hi_v)
+        mid = _midpoint(lo_v, hi_v)
         fmid = sum(d.cdf(mid) for d in dists) / len(dists)
         go_right = fmid < p
         lo_v = np.where(go_right, mid, lo_v)
         hi_v = np.where(go_right, hi_v, mid)
-    pts = [0.5 * (lo_v + hi_v)]
+    pts = [_midpoint(lo_v, hi_v)]
     for d, t in zip(dists, tails):
         disc = d.discontinuities()
         if disc.size:

@@ -1,6 +1,7 @@
 """CLI: schemas, dispatch, output formats, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spcop.cli import CURVE_VALUE_BUDGET, _emit_table, _metadata, main, run
+from spcop import cli
+from spcop.cli import CURVE_VALUE_BUDGET, _build_parser, _emit_table, _metadata, main, run
 from spcop.errors import SpcopError, SpecError
 from spcop.rng import MAX_WORKERS, resolve_workers
 
@@ -96,7 +98,6 @@ class TestEta:
         assert holds == json.loads(cls_out)["result"]["in_L_gamma"]
         assert holds == (float(gamma) <= 0.3 + 1e-9)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_chunk_error_at_two_workers_is_exit_1(self, tmp_path, capsys):
         # exp(1e-308) quantiles overflow above u ~ 0.83, in every chunk
         spec = write_doc(tmp_path, "s.json", {
@@ -506,10 +507,12 @@ class TestMalformedInputs:
     def test_exit_1_with_error_line(self, tmp_path, capsys, command, text):
         path = tmp_path / "bad.json"
         path.write_bytes(text.encode("latin-1"))  # "\xff" stays one byte, invalid UTF-8
-        assert main([command, "--spec", str(path), "--samples", "20000"]) == 1
+        samples = () if command == "order" else ("--samples", "20000")
+        assert main([command, "--spec", str(path), *samples]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "unrecognized arguments" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["eta", "--output", "xml"],
@@ -612,6 +615,60 @@ class TestMalformedInputs:
         assert code == 0 and len(body) == 1 + CURVE_VALUE_BUDGET
 
 
+# the flags each command takes besides --output, and a valid value of every flag
+COMMAND_FLAGS = {
+    "eta": {"spec", "samples", "seed", "workers", "tol", "gamma"},
+    "xi": {"spec", "samples", "seed", "workers", "tol", "gamma"},
+    "classify": {"spec", "tol", "gamma"},
+    "order": {"spec", "grid", "relation"},
+    "rank": {"spec", "samples", "seed", "workers"},
+    "sample": {"spec", "samples", "seed", "workers"},
+    "verify": {"spec", "samples", "seed"},
+    "curve": {"spec", "samples", "seed", "workers", "tol"},
+}
+FLAG_VALUES = {"spec": "s.json", "samples": "10", "seed": "3", "workers": "2", "tol": "0.5",
+               "gamma": "0.5", "grid": "64", "relation": "hr", "output": "csv"}
+
+
+def handler_reads(tree):
+    """{handler name: the names it reads as args.<name>} for every _cmd_* function."""
+    return {node.name: {sub.attr for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "args"}
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")}
+
+
+class TestFlags:
+    """Each command takes only the flags it reads; any other flag is exit 1."""
+
+    @pytest.mark.parametrize("flag", list(FLAG_VALUES))
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_flag_matrix(self, command, flag):
+        argv = [command, f"--{flag}", FLAG_VALUES[flag]]
+        if flag == "output" or flag in COMMAND_FLAGS[command]:
+            assert str(getattr(_build_parser().parse_args(argv), flag)) == FLAG_VALUES[flag]
+        else:
+            with pytest.raises(SpecError, match="unrecognized arguments"):
+                _build_parser().parse_args(argv)
+
+    def test_metadata_records_the_defaults_of_flags_not_taken(self):
+        for command in COMMAND_FLAGS:
+            args = _build_parser().parse_args([command])
+            assert (args.seed, args.samples, args.workers) == (0, 10 ** 6, 1)
+
+    def test_each_handler_reads_only_the_flags_of_its_commands(self):
+        reads = handler_reads(ast.parse(Path(cli.__file__).read_text()))
+        assert reads["_cmd_order"] == {"relation", "grid"}  # the walk sees reads
+        for command, (handler, flags) in cli._COMMANDS.items():
+            assert reads[handler.__name__] <= set(flags.split()), command
+
+
+# normals at the ends of the float range, whose sds differ by 1e-10
+HUGE_MEANS = {"g1": {"kind": "normal", "mean": 1e308, "sd": 1},
+              "g2": {"kind": "normal", "mean": -1e308, "sd": 1.0000000001}}
+
+
 class TestExtremeLaws:
     """Valid laws at the ends of the float range end in exit 0 with finite
     numbers or in exit 1 with an error line, never in a traceback."""
@@ -631,18 +688,45 @@ class TestExtremeLaws:
                      "g1": {"kind": "uniform", "a": -1e308, "b": 1e308},
                      "g2": {"kind": "atoms", "points": [[-1e308, 0.5], [1e308, 0.5]]}}, [])
           for command in ("order", "eta")),
+        # the grid's bisection midpoint overflowed above about 9e307
+        ("order", {"g1": {"kind": "uniform", "a": 1.2e308, "b": 1.5e308},
+                   "g2": {"kind": "uniform", "a": 1e308, "b": 1.1e308}}, []),
+        *(("order", HUGE_MEANS, ["--relation", rel]) for rel in ("st", "hr", "lr")),
     ], ids=["hr-tiny-rates", "st-tiny-rate-huge-sd", "hr-tiny-rate-huge-sd",
             "lr-tiny-rate-huge-sd", "gaussian-huge-sd", "normal-crossing-overflow",
-            "order-uniform-infinite-width", "eta-uniform-infinite-width"])
+            "order-uniform-infinite-width", "eta-uniform-infinite-width",
+            "order-uniform-midpoint-overflow", "st-huge-means", "hr-huge-means",
+            "lr-huge-means"])
     def test_repro(self, tmp_path, capsys, command, doc, argv):
         spec = write_doc(tmp_path, "s.json", doc)
-        code = main([command, "--spec", spec, "--samples", "20000", *argv])
+        samples = ("--samples", "20000") if command == "eta" else ()
+        code = main([command, "--spec", spec, *samples, *argv])
         captured = capsys.readouterr()
+        assert "unrecognized arguments" not in captured.err
         if code == 1:
             assert captured.out == "" and captured.err.startswith("error: ")
         else:
             assert code == 0
             json.loads(captured.out, parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("command,doc,argv,code", [
+        *(("eta", {"copula": {"node": "shuffle", "gamma": 0.3}, "g1": U01,
+                   "g2": {"kind": "exponential", "rate": 1e-308}},
+           ["--samples", "20000", "--workers", workers], 1) for workers in ("1", "2")),
+        ("order", HUGE_MEANS, ["--relation", "hr"], 0),
+    ], ids=["eta-overflow-w1", "eta-overflow-w2", "order-hr-huge-means"])
+    def test_stderr_holds_only_the_error_line(self, tmp_path, command, doc, argv, code):
+        # a child interpreter: pytest would capture numpy's RuntimeWarnings itself
+        spec = write_doc(tmp_path, "s.json", doc)
+        done = subprocess.run([sys.executable, "-m", "spcop.cli", command, "--spec", spec, *argv],
+                              env=src_env(), capture_output=True, text=True)
+        assert done.returncode == code
+        if code == 1:
+            assert done.stdout == ""
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        else:
+            assert done.stderr == ""
+            json.loads(done.stdout, parse_constant=pytest.fail)
 
 
 @st.composite

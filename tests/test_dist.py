@@ -302,6 +302,12 @@ def test_quantile_grid_refuses_a_pair_without_finite_tails():
         quantile_grid((Exponential(1e-308), Exponential(2e-308)), 64)
 
 
+def test_quantile_grid_midpoints_of_huge_bounds_stay_finite():
+    # 0.5 * (lo + hi) overflows once both bounds pass about 9e307
+    ts = quantile_grid((Uniform(1.2e308, 1.5e308), Uniform(1e308, 1.1e308)), 64)
+    assert ts.size == 80 and np.isfinite(ts).all()
+
+
 def test_order_hierarchy_lr_implies_hr_implies_st():
     rng = np.random.default_rng(314159)
     families = ("exponential", "normal", "uniform")
