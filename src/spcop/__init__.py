@@ -12,8 +12,8 @@ from .copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
 from .dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                    OrderCheckResult, PiecewiseLinearCdf, Uniform, UniformPower,
                    check_order, dist_from_json, dist_to_json, pointwise_min_cdf)
-from .errors import (Inconclusive, NoDensity, SizeLimit, SpcopError, SpecError,
-                     UnknownMass, UnsupportedOrder, WeightError)
+from .errors import (Inconclusive, SizeLimit, SpcopError, SpecError,
+                     UnknownMass)
 from .oracle import (LoadSharingModel, grid_eta_oracle, load_sharing_sample,
                      mo_construction_sample, order_stats_triple_sample,
                      run_verification)

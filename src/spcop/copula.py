@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import decode, encode
 from .dist import Exponential, Normal, UniformPower, elementwise
-from .errors import NoDensity, SpecError, UnknownMass, WeightError
+from .errors import SpecError, UnknownMass
 from .rng import clip_open, map_chunks, open_uniform
 from .special import normal_cdf, normal_quantile
 
@@ -59,10 +59,10 @@ class CopulaSpec:
         raise NotImplementedError
 
     def _d1(self, u, v):
-        raise NoDensity(f"{self.node} has a singular component")
+        raise SpecError(f"{self.node} has a singular component")
 
     def _d2(self, u, v):
-        raise NoDensity(f"{self.node} has a singular component")
+        raise SpecError(f"{self.node} has a singular component")
 
     def sample_arrays(self, rng, n):
         """Return (u, v, singular_component, structural_tie) arrays."""
@@ -393,11 +393,11 @@ class Mixture(CopulaSpec):
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", ws)
         if not comps or len(comps) != len(ws):
-            raise WeightError("mixture needs matching non-empty components and weights")
+            raise SpecError("mixture needs matching non-empty components and weights")
         if not all(math.isfinite(w) for w in ws):
-            raise WeightError(f"mixture weights must be finite, got {ws}")
+            raise SpecError(f"mixture weights must be finite, got {ws}")
         if any(w < -1e-12 for w in ws) or abs(sum(ws) - 1.0) > 1e-12:
-            raise WeightError(f"mixture weights must form a simplex, got {ws}")
+            raise SpecError(f"mixture weights must form a simplex, got {ws}")
 
     def _weighted(self, values):
         return sum(w * x for w, x in zip(self.weights, values))

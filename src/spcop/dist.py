@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import decode, encode
-from .errors import SpecError, UnsupportedOrder
+from .errors import SpecError
 from .special import normal_cdf, normal_pdf, normal_quantile
 
 __all__ = [
@@ -59,9 +59,9 @@ class Distribution:
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if np.isnan(p).any():
-            raise ValueError("quantile probability must not be NaN")
+            raise SpecError("quantile probability must not be NaN")
         if (p < 0.0).any() or (p > 1.0).any():
-            raise ValueError("quantile probability must lie in [0,1]")
+            raise SpecError("quantile probability must lie in [0,1]")
         return elementwise(self._quantile, p)
 
     def density(self, x):
@@ -495,7 +495,7 @@ def check_order(relation: str, g1: Distribution, g2: Distribution, grid: int = 5
     if grid < 64:
         raise SpecError("order-check grid must be at least 64")
     if relation != "st" and not (g1.has_density and g2.has_density):
-        raise UnsupportedOrder(f"{relation} ordering needs closed-form densities")
+        raise SpecError(f"{relation} ordering needs closed-form densities")
 
     analytic = _same_family_st(g1, g2)
     if analytic is not None:

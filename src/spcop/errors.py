@@ -1,4 +1,5 @@
-"""Semantic exception hierarchy for the spcop package."""
+"""Semantic exception hierarchy for the spcop package: one class per way a
+caller reacts to a failure."""
 
 
 class SpcopError(Exception):
@@ -6,28 +7,20 @@ class SpcopError(Exception):
 
 
 class SpecError(SpcopError, ValueError):
-    """Malformed input: bad JSON document, unknown node/kind, domain violation."""
+    """Bad input: malformed document, unknown node or kind, domain violation,
+    or a question the input cannot answer (hr/lr without densities, quadrature
+    on a singular copula). The CLI ends it in exit 1."""
 
 
-class WeightError(SpecError):
-    """Mixture weights are not a probability simplex."""
+class UnknownMass(SpcopError):
+    """No closed form exists for this copula (and these marginals); eta_exact
+    answers None, so the next route is tried."""
 
 
-class UnsupportedOrder(SpcopError, ValueError):
-    """hr/lr ordering requested for a distribution without a usable density."""
-
-
-class UnknownMass(SpcopError, KeyError):
-    """Singular mass requested for a copula outside the closed-form registry."""
-
-
-class NoDensity(SpcopError, ValueError):
-    """Quadrature requested for a copula with a singular component."""
-
-
-class SizeLimit(SpcopError, ValueError):
+class SizeLimit(SpcopError):
     """A deterministic route would exceed its work budget: the atom budget of
-    the exact discrete sum, or the integrand point cap of quadrature."""
+    the exact discrete sum, or the integrand point cap of quadrature. The
+    route hands over to the next one."""
 
 
 class Inconclusive(SpcopError):

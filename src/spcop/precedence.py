@@ -14,7 +14,7 @@ import numpy as np
 # sample_uv stays a module attribute: the benchmark tracer patches it here by name
 from .copula import CopulaSpec, sample_uv  # noqa: F401
 from .dist import DiscreteAtoms, Distribution, check_order
-from .errors import Inconclusive, NoDensity, SizeLimit, SpecError, UnknownMass
+from .errors import Inconclusive, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
 from .rng import map_chunks
 
@@ -130,7 +130,7 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
 
 def _needs_density(spec, g1, g2):
     if not spec.absolutely_continuous:
-        return NoDensity("copula has a singular component; use eta_mc")
+        return SpecError("copula has a singular component; use eta_mc")
     if not (g1 is not None and g1.is_class_g and g2.is_class_g):
         return SpecError("quadrature needs invertible (class-G) marginals")
 

@@ -41,21 +41,21 @@ _ERFC_Q = np.array([2.56852019228982242e00, 1.87295284992346047e00,
                     5.27905102951428412e-1, 6.05183413124413191e-2,
                     2.33520497626869185e-3])
 _INV_SQRT_PI = 5.6418958354775628695e-1
+# Each Cody pair as _horner's (numerator, denominator): a numerator's leading
+# coefficient is listed last, and a denominator's leading 1 is left out.
+_ERF_SMALL, _ERFC_MID, _ERFC_LARGE = (
+    ((c[-1], *c[:-1]), (1.0, *d))
+    for c, d in ((_ERF_A, _ERF_B), (_ERFC_C, _ERFC_D), (_ERFC_P, _ERFC_Q)))
 
 
-def _rational(y, c, d):
-    """Cody's Horner pair (num + c[k], den + d[k]), k = len(d) - 1, in place."""
-    k = len(d) - 1
-    num = c[k + 1] * y
-    den = y.copy()
-    for i in range(k):
-        num += c[i]
-        num *= y
-        den += d[i]
-        den *= y
-    num += c[k]
-    den += d[k]
-    return num, den
+def _horner(coeffs, y):
+    """coeffs[0] * y^m + ... + coeffs[m] by Horner's rule, in place on one array."""
+    acc = coeffs[0] * y
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= y
+    acc += coeffs[-1]
+    return acc
 
 
 def _exp_split(y, frac):
@@ -74,23 +74,23 @@ def _exp_split(y, frac):
 
 
 def _erf_small(y2):
-    num, den = _rational(y2, _ERF_A, _ERF_B)
-    num /= den
+    num = _horner(_ERF_SMALL[0], y2)
+    num /= _horner(_ERF_SMALL[1], y2)
     return num
 
 
 def _erfc_mid(y):
-    num, den = _rational(y, _ERFC_C, _ERFC_D)
-    num /= den
+    num = _horner(_ERFC_MID[0], y)
+    num /= _horner(_ERFC_MID[1], y)
     return _exp_split(y, num)
 
 
 def _erfc_large(y):
     y2 = y * y
     np.divide(1.0, y2, out=y2)
-    num, den = _rational(y2, _ERFC_P, _ERFC_Q)
-    num *= y2  # y2 * (num + P4) / (den + Q4)
-    num /= den
+    num = _horner(_ERFC_LARGE[0], y2)
+    num *= y2  # y2 * num / den, in this order
+    num /= _horner(_ERFC_LARGE[1], y2)
     np.subtract(_INV_SQRT_PI, num, out=num)
     num /= y
     return _exp_split(y, num)
@@ -133,38 +133,31 @@ def normal_pdf(x, mean=0.0, sd=1.0):
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z) / sd
 
 
-# Acklam's inverse normal cdf coefficients.
+# Acklam's inverse normal cdf coefficients, highest degree first as _horner
+# takes them; each denominator ends in its constant 1.
 _PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
           -2.759285104469687e+02, 1.383577518672690e+02,
           -3.066479806614716e+01, 2.506628277459239e+00)
 _PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
           -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
+          -1.328068155288572e+01, 1.0)
 _PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
           -2.400758277161838e+00, -2.549732539343734e+00,
           4.374664141464968e+00, 2.938163982698783e+00)
 _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
+          2.445134137142996e+00, 3.754408661907416e+00, 1.0)
 _PPF_SPLIT = 0.02425
 
 
 def _ppf_tail(q):
     # q = sqrt(-2 log p_tail), valid for the lower tail; caller mirrors.
-    num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q
-            + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-    den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q
-           + _PPF_D[3]) * q + 1.0
-    return num / den
+    return _horner(_PPF_C, q) / _horner(_PPF_D, q)
 
 
 def _ppf_central(p):
     q = p - 0.5
     r = q * q
-    num = ((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r
-            + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5]
-    den = ((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r
-            + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0
-    return q * num / den
+    return q * _horner(_PPF_A, r) / _horner(_PPF_B, r)
 
 
 def normal_quantile(p, mean=0.0, sd=1.0):

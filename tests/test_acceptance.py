@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from spcop.copula import (Comonotone, Countermonotone, Gaussian, Independence,
-                          MarshallOlkinConnecting, MarshallOlkinSurvival,
-                          Mixture, OrderStatistics, Shuffle, sample_uv,
-                          survival_of, transpose, validate_copula)
+from spcop.copula import (Gaussian, MarshallOlkinConnecting,
+                          MarshallOlkinSurvival, Mixture, OrderStatistics,
+                          Shuffle, sample_uv, survival_of, transpose,
+                          validate_copula)
 from spcop.cli import run as cli_run
 from spcop.dist import DiscreteAtoms, Exponential, Normal, Uniform
 from spcop.oracle import (LoadSharingModel, load_sharing_sample, mo_checks,
@@ -26,14 +26,10 @@ from spcop.oracle import (LoadSharingModel, load_sharing_sample, mo_checks,
 from spcop.precedence import (eta_discrete_exact, eta_exact, eta_mc,
                               eta_quadrature)
 
+from test_copula import REGISTRY
+
 N = 10 ** 6
 ETA_K = 2.0 - math.pi / 2.0
-
-REGISTRY = [
-    Independence(), Comonotone(), Countermonotone(), Shuffle(0.3),
-    Gaussian(0.5), MarshallOlkinSurvival(0.4, 0.2),
-    MarshallOlkinConnecting(0.4, 0.2), OrderStatistics(),
-]
 
 
 def phi(z):

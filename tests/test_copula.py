@@ -16,14 +16,21 @@ from spcop.copula import (_CDF_BLOCK, COPULA_NODES, Comonotone, CopulaSpec,
                           Shuffle, SurvivalOf, Transpose, copula_from_json,
                           copula_sample, copula_to_json, rect_measure,
                           sample_uv, survival_of, transpose, validate_copula)
-from spcop.errors import SpecError, UnknownMass, WeightError
+from spcop.errors import SpecError, UnknownMass
 from spcop.integrate import integrate_adaptive
 
+# one instance of every leaf family; test_precedence and test_acceptance share it
 REGISTRY = [
     Independence(), Comonotone(), Countermonotone(), Shuffle(0.3),
     Gaussian(0.5), MarshallOlkinSurvival(0.4, 0.2),
     MarshallOlkinConnecting(0.4, 0.2), OrderStatistics(),
 ]
+# the nodes that wrap other specs; every other node is a leaf family
+WRAPPERS = {"mixture", "transpose", "survival"}
+
+
+def test_registry_holds_every_leaf_family():
+    assert sorted(s.node for s in REGISTRY) == sorted(set(COPULA_NODES) - WRAPPERS)
 
 
 class TestCdf:
@@ -180,12 +187,12 @@ class TestTransforms:
         assert np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))) < 1e-10
 
     def test_mix_weight_validation(self):
-        with pytest.raises(WeightError):
+        with pytest.raises(SpecError, match="mixture weights must form a simplex"):
             Mixture([Independence(), Comonotone()], [0.6, 0.6])
-        with pytest.raises(WeightError):
+        with pytest.raises(SpecError, match="mixture needs matching non-empty"):
             Mixture([Independence()], [0.5, 0.5])
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(WeightError):
+            with pytest.raises(SpecError, match="mixture weights must be finite"):
                 Mixture([Independence(), Comonotone()], [bad, 1.0])
 
 
@@ -415,7 +422,7 @@ class TestJson:
         with pytest.raises(SpecError):
             copula_from_json({"node": "mixture", "weights": "1",
                               "components": [{"node": "independence"}]})
-        with pytest.raises(WeightError):
+        with pytest.raises(SpecError, match="mixture weights must form a simplex"):
             copula_from_json({"node": "mixture", "weights": [0.9, 0.9],
                               "components": [{"node": "independence"},
                                              {"node": "comonotone"}]})

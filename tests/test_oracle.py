@@ -10,7 +10,8 @@ from spcop.copula import (Independence, MarshallOlkinConnecting,
                           OrderStatistics, Shuffle, sample_uv)
 from spcop.dist import Exponential, Normal, Uniform
 from spcop.errors import SpecError
-from spcop.oracle import (LoadSharingModel, _empirical_copula, grid_eta_oracle,
+from spcop.oracle import (_CHECK_GRID, LoadSharingModel, _counts_le,
+                          _empirical_copula, grid_eta_oracle,
                           load_sharing_checks, load_sharing_sample,
                           load_sharing_survival, mo_checks,
                           mo_construction_sample, mo_survival_eta_audit,
@@ -133,6 +134,17 @@ class TestEmpiricalCopulaByCounting:
         for u, v in ((-np.expm1(-x1 / a1), -np.expm1(-x2 / a2)), (u2, v2)):
             counted = _empirical_copula(u, v, QS)
             assert np.array_equal(counted.view(np.int64), mean_sweep(u, v, QS).view(np.int64))
+        # the curves of order_stats_checks (two cdfs) and load_sharing_checks (a survival)
+        _, xp, xpp = order_stats_triple_sample(n, seed)
+        ts = (np.arange(_CHECK_GRID) + 1.0) / (_CHECK_GRID + 1.0)
+        for x in (xp, xpp):
+            swept = np.array([np.mean(x <= s) for s in ts])
+            assert np.array_equal((_counts_le(x, ts) / n).view(np.int64), swept.view(np.int64))
+        x, _ = load_sharing_sample(LoadSharingModel(2.0, 2.5), n, seed)
+        ts = -np.log1p(-(np.arange(_CHECK_GRID) + 0.5) / _CHECK_GRID) / 2.0
+        swept = np.array([np.mean(x > t) for t in ts])
+        counted = (n - _counts_le(x, ts)) / n
+        assert np.array_equal(counted.view(np.int64), swept.view(np.int64))
 
     def test_values_on_the_edges(self):
         # 0, 1, every level k/16 exactly and both neighbours, in all pairs

@@ -14,20 +14,15 @@ from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Ind
                           survival_of, transpose)
 from spcop.dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                         Uniform, UniformPower)
-from spcop.errors import Inconclusive, NoDensity, SizeLimit, SpecError, UnknownMass
+from spcop.errors import Inconclusive, SizeLimit, SpecError, UnknownMass
 from spcop.precedence import (ClassVerdict, PrecedenceReport, best_eta_report,
                               classify, eta_discrete_exact, eta_exact,
                               eta_lower_bound, eta_mc, eta_quadrature,
                               sp_level)
 
-from test_copula import JSON_EXAMPLES
+from test_copula import JSON_EXAMPLES, REGISTRY
 
 ETA_K = 2.0 - math.pi / 2.0
-REGISTRY = [
-    Independence(), Comonotone(), Countermonotone(), Shuffle(0.3),
-    Gaussian(0.5), MarshallOlkinSurvival(0.4, 0.2),
-    MarshallOlkinConnecting(0.4, 0.2), OrderStatistics(),
-]
 
 
 def phi(z):
@@ -276,7 +271,7 @@ class TestQuadrature:
         assert abs(r.eta - (1.0 - ETA_K)) < 1e-7
 
     def test_no_density_for_singular(self):
-        with pytest.raises(NoDensity):
+        with pytest.raises(SpecError, match="copula has a singular component"):
             eta_quadrature(Shuffle(0.3), Uniform(0, 1), Uniform(0, 1))
 
     def test_needs_class_g(self):
