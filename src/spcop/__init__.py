@@ -11,7 +11,7 @@ from .copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
                      transpose, validate_copula)
 from .dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                    OrderCheckResult, PiecewiseLinearCdf, Uniform, UniformPower,
-                   check_order, dist_from_json, dist_to_json, pointwise_min_cdf)
+                   check_order, dist_from_json, dist_to_json)
 from .errors import (Inconclusive, SizeLimit, SpcopError, SpecError,
                      UnknownMass)
 from .oracle import (LoadSharingModel, grid_eta_oracle, load_sharing_sample,

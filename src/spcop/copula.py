@@ -202,6 +202,8 @@ def _gauss_panels(a, b, rho, s):
     for p in range(edges.shape[1] - 1):
         lo_e = edges[:, p]
         width = edges[:, p + 1] - lo_e
+        if not width.any():  # adds +0.0 at every point; a NaN width is kept
+            continue
         y = lo_e[:, None] + width[:, None] * _GL_T[None, :]
         z = a[:, None] - y
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)

@@ -1,5 +1,5 @@
-"""Marginal distributions: cdf, generalized-inverse quantile, densities,
-stochastic-order checks and the pointwise-min construction.
+"""Marginal distributions: cdf, generalized-inverse quantile, densities and
+stochastic-order checks.
 
 Every distribution value is a frozen dataclass; all operations are pure and
 accept scalars or numpy arrays. Quantiles follow the generalized inverse
@@ -22,12 +22,11 @@ from .special import normal_cdf, normal_pdf, normal_quantile
 __all__ = [
     "Distribution", "Uniform", "Exponential", "Normal", "DiscreteAtoms",
     "PiecewiseLinearCdf", "UniformPower", "OrderCheckResult", "check_order",
-    "order_holds_at", "pointwise_min_cdf", "dist_to_json", "dist_from_json",
+    "order_holds_at", "dist_to_json", "dist_from_json",
     "quantile_grid", "DIST_KINDS",
 ]
 
 _EPS = 1e-12
-_MIN_CDF_GRID = 512  # quantile-grid size of pointwise_min_cdf
 
 
 def elementwise(kernel, *args):
@@ -530,38 +529,6 @@ def order_holds_at(relation: str, g1: Distribution, g2: Distribution, t: float) 
         if r1 < r0 - 1e-12:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# pointwise minimum of two cdfs
-
-
-def pointwise_min_cdf(g: Distribution, h: Distribution) -> Distribution:
-    """A distribution whose cdf is min{G, H} on the evaluation grid.
-
-    Returns one of the inputs exactly when it is dominated everywhere, the
-    merged-atom law when both inputs are discrete, and a piecewise-linear
-    interpolant through the grid minima otherwise. The result st-dominates
-    both inputs (its cdf is the pointwise floor of theirs).
-    """
-    ts = quantile_grid((g, h), _MIN_CDF_GRID)
-    gv, hv = g.cdf(ts), h.cdf(ts)
-    if np.all(gv <= hv + _EPS):
-        return g
-    if np.all(hv <= gv + _EPS):
-        return h
-    if isinstance(g, DiscreteAtoms) and isinstance(h, DiscreteAtoms):
-        xs = np.unique(np.concatenate([g._xs, h._xs]))
-        cum = np.minimum(g.cdf(xs), h.cdf(xs))
-        probs = np.diff(np.concatenate([[0.0], cum]))
-        keep = probs > 1e-15
-        return DiscreteAtoms(tuple(zip(xs[keep].tolist(), probs[keep].tolist())))
-    vals = np.maximum.accumulate(np.clip(np.minimum(gv, hv), 0.0, 1.0))
-    pad = max(1.0, 0.05 * (ts[-1] - ts[0]))
-    knots = [(ts[0] - pad, 0.0)]
-    knots += list(zip(ts.tolist(), vals.tolist()))
-    knots += [(ts[-1] + pad, 1.0)]
-    return PiecewiseLinearCdf(tuple(knots))
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,9 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
     # exact integer counts over n: the bits of np.mean over the whole bool array
     eta = sum(c for c, _ in counts) / n
     xi = sum(t for _, t in counts) / n
-    se_eta = math.sqrt(max(eta * (1.0 - eta), 0.0) / n)
+    # at a count of 0 or n the Wald error is 0; 1/n makes sp_level's 3-sigma
+    # band the rule-of-three bound instead of claiming an exact answer
+    se_eta = math.sqrt(max(eta * (1.0 - eta), 0.0) / n) or 1.0 / n
     se_xi = math.sqrt(max(xi * (1.0 - xi), 0.0) / n)
     return PrecedenceReport(eta, xi, "monte_carlo", se_eta, se_xi, n, seed)
 

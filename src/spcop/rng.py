@@ -74,10 +74,10 @@ def _share_malloc_arena():
 
     By default each chunk thread gets an arena of its own, which keeps the
     pages its chunk freed; the next request, on another thread, cannot reuse
-    them: on the mc_eta benchmark (2-core Xeon, glibc 2.36) that raised peak
-    RSS from 150 to 215 MB. Big numpy buffers are allocated a few times per
-    chunk, with the interpreter lock held, so threads hardly contend for the
-    shared arena.
+    them: on the mc_eta benchmark (2-core Xeon, glibc 2.36, normal kernels in
+    65,536-point blocks) that raised peak RSS from 106-109 to 165 MB. Big
+    numpy buffers are allocated a few times per chunk, with the interpreter
+    lock held, so threads hardly contend for the shared arena.
     """
     try:
         ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)

@@ -1,6 +1,9 @@
 """High-precision normal cdf / quantile kernels on float arrays: each returns
 an array of its input's shape, NaN where the input is NaN. `dist.elementwise`
-converts scalars and `Distribution.quantile` checks probabilities.
+converts scalars and `Distribution.quantile` checks probabilities. An input
+longer than `_BLOCK` points runs through the kernel in `_BLOCK`-point slices,
+so its temporaries stay cache-sized; every kernel is pointwise, so the slices
+give the same bits as one pass.
 
 The cdf goes through a rational-approximation erfc (Cody's split: small-|x|
 series-like rational, mid-range rational, large-|x| continued-fraction-style
@@ -12,9 +15,16 @@ comparisons need this headroom; Monte Carlo noise does not.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["erfc", "normal_cdf", "normal_quantile", "normal_pdf"]
+
+# points per kernel pass on large inputs: 512 KiB float64 slices, whose
+# temporaries stay near a 2 MiB L2; 16k, 32k and 128k points were slower on
+# the mc_eta benchmark's Gaussian requests
+_BLOCK = 65536
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -122,6 +132,22 @@ def erfc(x):
     return out
 
 
+def _blocked(kernel):
+    """kernel(x, mean, sd) on consecutive _BLOCK-point slices of a larger x,
+    written into one float64 output of x's shape; mean and sd are scalars."""
+    @functools.wraps(kernel)
+    def run(x, mean=0.0, sd=1.0):
+        if np.size(x) <= _BLOCK:
+            return kernel(x, mean, sd)
+        flat = np.ravel(x)
+        out = np.empty(flat.size)
+        for k in range(0, flat.size, _BLOCK):
+            out[k:k + _BLOCK] = kernel(flat[k:k + _BLOCK], mean, sd)
+        return out.reshape(np.shape(x))
+    return run
+
+
+@_blocked
 def normal_cdf(x, mean=0.0, sd=1.0):
     """Standard (or shifted/scaled) normal cdf."""
     z = (x - mean) / sd
@@ -160,6 +186,7 @@ def _ppf_central(p):
     return q * _horner(_PPF_A, r) / _horner(_PPF_B, r)
 
 
+@_blocked
 def normal_quantile(p, mean=0.0, sd=1.0):
     """Inverse normal cdf; p=0/1 map to -inf/+inf sentinels, NaN to NaN."""
 

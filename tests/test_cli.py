@@ -17,6 +17,7 @@ from spcop import cli
 from spcop.cli import CURVE_VALUE_BUDGET, _build_parser, _emit_table, _metadata, main, run
 from spcop.errors import SpcopError, SpecError
 from spcop.rng import MAX_WORKERS, resolve_workers
+from spcop.special import _BLOCK
 
 
 def write_doc(tmp_path, name, obj):
@@ -258,6 +259,21 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["result"]["sp_level"]["holds"] is None
 
+    @pytest.mark.parametrize("means,gamma,eta", [((0, 6), "1.0", 1.0), ((6, 0), "1e-06", 0.0)],
+                             ids=["count-n", "count-0"])
+    def test_edge_count_is_inconclusive(self, tmp_path, means, gamma, eta):
+        # every draw (count-n) or none (count-0) has X1 <= X2, yet eta is
+        # neither 1 nor 0: the estimate's error is 1/n, not 0
+        g1, g2 = ({"kind": "normal", "mean": m, "sd": 1} for m in means)
+        spec = write_doc(tmp_path, "s.json", {
+            "copula": {"node": "shuffle", "gamma": 0.3}, "g1": g1, "g2": g2})
+        code, out = invoke(["eta", "--spec", spec, "--gamma", gamma, "--seed", "0"])
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result["eta"] == eta
+        assert result["stderr_eta"] == 1e-06
+        assert result["sp_level"]["holds"] is None
+
     def test_success_is_exit_0(self, tmp_path):
         spec = write_doc(tmp_path, "s.json", {"copula": {"node": "independence"}})
         assert main(["eta", "--spec", spec]) == 0
@@ -328,6 +344,12 @@ GOLDEN_ETA = {
                     "g2": {"kind": "uniform", "a": 0.2, "b": 1.2}},
 }
 ETA_ARGS = ("--samples", "20000", "--seed", "7")
+# more samples than two special._BLOCK slices: the normal kernels cross seams
+GAUSS_MIX = {"copula": {"node": "mixture", "weights": [0.7, 0.3], "components": [
+    {"node": "gaussian", "rho": 0.6}, {"node": "shuffle", "gamma": 0.4}]},
+    "g1": {"kind": "normal", "mean": 0, "sd": 1}, "g2": {"kind": "normal", "mean": 0.25, "sd": 1.5}}
+BLOCK_ETA_ARGS = ("--samples", "200000", "--seed", "7")
+BLOCK_SAMPLE_ARGS = ("--samples", "140000", "--seed", "11", "--workers", "1", "--output", "csv")
 
 
 class TestGoldenOutput:
@@ -374,14 +396,24 @@ class TestGoldenOutput:
          "def934f71fc1fc28bb74cfa23ba2ce152615cc16d941ad0524c5b896a0414b62"),
         ("eta", GOLDEN_ETA["monte_carlo"], (*ETA_ARGS, "--workers", "2", "--gamma", "0.5"),
          "d21e44f29c0a4afa0417d0067543afd8c1fe316c616491fa9bca7e8033889d01"),
+        ("eta", GAUSS_MIX, (*BLOCK_ETA_ARGS, "--workers", "1"),
+         "6ac08e54117aad01f2eb04c0b7288f678c5e0ce55f857a6045636bd02897a640"),
+        ("eta", GAUSS_MIX, (*BLOCK_ETA_ARGS, "--workers", "2"),
+         "feee2a242d5f61f952c7fa28904729107d73a3bc32c5bc8f8c8904958a628434"),
+        ("sample", {"copula": {"node": "gaussian", "rho": -0.35}}, BLOCK_SAMPLE_ARGS,
+         "f7a0fc47847b0b3891e330140389a4118fafe596b6609d57f60281f6282b9638"),
     ], ids=["sample-json-w1", "sample-json-w2", "sample-csv-w1", "sample-csv-w2",
             "curve-json", "curve-csv", "rank-csv",
             *(f"eta-{route}-{fmt}" for route in GOLDEN_ETA for fmt in ("json", "csv")),
-            "eta-gamma", "eta-mc-w2", "eta-mc-w3", "eta-mc-w2-gamma"])
+            "eta-gamma", "eta-mc-w2", "eta-mc-w3", "eta-mc-w2-gamma",
+            "eta-blocks-w1", "eta-blocks-w2", "sample-blocks-csv"])
     def test_stdout_digest(self, tmp_path, command, doc, argv, digest):
         code, out = invoke([command, "--spec", write_doc(tmp_path, "d.json", doc), *argv])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_block_cases_cross_seams(self):
+        assert int(BLOCK_SAMPLE_ARGS[1]) > 2 * _BLOCK and int(BLOCK_ETA_ARGS[1]) // 2 > _BLOCK
 
     def test_the_environment_leaves_the_chunk_layout_alone(self, tmp_path, monkeypatch):
         # --workers alone sets the chunk layout, whatever the environment holds

@@ -1,5 +1,5 @@
-"""Distribution operations: cdf/quantile contracts, class-G detection,
-stochastic-order checks and the pointwise-min construction."""
+"""Distribution operations: cdf/quantile contracts, class-G detection and
+stochastic-order checks."""
 
 import hashlib
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spcop.dist import (DIST_KINDS, DiscreteAtoms, Distribution, Exponential, Normal,
                         PiecewiseLinearCdf, Uniform, UniformPower,
                         check_order, dist_from_json, dist_to_json,
-                        order_holds_at, pointwise_min_cdf, quantile_grid)
+                        order_holds_at, quantile_grid)
 from spcop.errors import SpecError
 
 CLASS_G_SAMPLES = [
@@ -362,55 +362,6 @@ def test_order_hierarchy_cross_family():
             seen_hr += 1
             assert stv, f"hr without st: {g1} vs {g2}"
     assert seen_hr > 5  # some cross-family pairs genuinely are hr-ordered
-
-
-class TestPointwiseMin:
-    def test_idempotent(self):
-        u = Uniform(0, 1)
-        assert pointwise_min_cdf(u, u) == u
-
-    def test_dominated_uniform(self):
-        res = pointwise_min_cdf(Uniform(0, 1), Uniform(0.5, 1.5))
-        assert res == Uniform(0.5, 1.5)
-
-    def test_exponential_pair(self):
-        # exp(-x) <= 1 - (1 - exp(-2x)) pointwise: the slower law wins the min
-        res = pointwise_min_cdf(Exponential(2.0), Exponential(1.0))
-        assert res == Exponential(1.0)
-        ts = np.linspace(0.01, 5, 200)
-        assert np.all(res.cdf(ts) <= Exponential(2.0).cdf(ts) + 1e-12)
-
-    def test_crossing_cdfs_give_grid_exact_min(self):
-        g, h = Normal(0.0, 1.0), Uniform(-0.2, 0.4)
-        res = pointwise_min_cdf(g, h)
-        ts = quantile_grid((g, h), 512)
-        target = np.minimum(g.cdf(ts), h.cdf(ts))
-        assert np.max(np.abs(res.cdf(ts) - target)) < 1e-12
-
-    def test_result_dominates_both_on_grid(self):
-        # PWL results honor the contract on the evaluation grid; exact-kind
-        # results (dominated or discrete inputs) dominate everywhere
-        for g, h in [(Normal(0, 1), Uniform(-0.2, 0.4)),
-                     (Exponential(1.0), Uniform(0.2, 0.8))]:
-            res = pointwise_min_cdf(g, h)
-            ts = quantile_grid((g, h), 512)
-            rv = res.cdf(ts)
-            assert np.all(rv <= g.cdf(ts) + 1e-12)
-            assert np.all(rv <= h.cdf(ts) + 1e-12)
-        g = DiscreteAtoms(((0.0, 0.5), (2.0, 0.5)))
-        h = DiscreteAtoms(((-1.0, 0.3), (1.0, 0.7)))
-        res = pointwise_min_cdf(g, h)
-        assert check_order("st", g, res).holds
-        assert check_order("st", h, res).holds
-        assert check_order("st", Uniform(0, 1), pointwise_min_cdf(Uniform(0, 1), Uniform(0.5, 1.5))).holds
-
-    def test_discrete_pair_exact(self):
-        g = DiscreteAtoms(((0.0, 0.5), (2.0, 0.5)))
-        h = DiscreteAtoms(((-1.0, 0.3), (1.0, 0.7)))
-        res = pointwise_min_cdf(g, h)
-        assert isinstance(res, DiscreteAtoms)
-        for x in (-1.0, 0.0, 1.0, 2.0, 3.0):
-            assert res.cdf(x) == pytest.approx(min(g.cdf(x), h.cdf(x)), abs=1e-12)
 
 
 class TestValidationAndJson:

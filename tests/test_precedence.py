@@ -190,6 +190,22 @@ class TestMonteCarlo:
         r = eta_mc(Shuffle(1.0), Uniform(0, 1), Uniform(0, 1), 50_000, seed=35)
         assert r.eta == 1.0 and r.xi == 1.0
 
+    def test_error_bars_are_calibrated(self):
+        # the closed-form cases of criteria 1, 3 and 5, ten seeds each; an
+        # eta of 0 or 1 gives a count of 0 or n, whose error is 1/n, not 0
+        u, n = Uniform(0.0, 1.0), 10_000
+        cases = [(Shuffle(g), u, u, g) for g in (0.1, 0.3, 0.5, 0.8, 1.0)]
+        cases += [(Gaussian(rho), Normal(0, 1), Normal(1, 1), phi(1.0 / math.sqrt(2.0 * (1.0 - rho))))
+                  for rho in (-0.5, 0.0, 0.5, 0.9)]
+        cases += [(image, u, u, eta_exact(image)[0])
+                  for spec in REGISTRY for image in (spec, transpose(spec), survival_of(spec))]
+        reports = [(eta_mc(spec, g1, g2, n, seed), eta)
+                   for spec, g1, g2, eta in cases for seed in range(10)]
+        assert min(r.stderr_eta for r, _ in reports) > 0.0
+        misses = sum(abs(r.eta - eta) > 3.0 * r.stderr_eta for r, eta in reports)
+        # 330 reports at a 0.27 % miss rate: 0.9 expected, more than 4 has odds 0.2 %
+        assert misses <= 4
+
     def test_discrete_marginal_atom_ties(self):
         at1 = DiscreteAtoms(((0.0, 0.5), (1.0, 0.5)))
         at2 = DiscreteAtoms(((0.0, 0.25), (1.0, 0.75)))

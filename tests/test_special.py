@@ -3,12 +3,14 @@ references (libm erfc, scipy)."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from spcop.dist import Normal
-from spcop.special import erfc, normal_cdf, normal_pdf, normal_quantile
+from spcop.special import _BLOCK, erfc, normal_cdf, normal_pdf, normal_quantile
 
 
 def test_erfc_matches_libm():
@@ -86,3 +88,63 @@ def test_normal_pdf():
     assert abs(normal_pdf(np.array([0.0]))[0] - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
     xs = np.linspace(-5, 5, 101)
     assert np.max(np.abs(normal_pdf(xs) - stats.norm.pdf(xs))) < 1e-14
+
+
+def _seam_inputs(low, high, specials):
+    """2 blocks + 37 points, with `specials` written across both block seams."""
+    x = np.random.default_rng(17).uniform(low, high, 2 * _BLOCK + 37)
+    for seam in (_BLOCK, 2 * _BLOCK):
+        x[seam - len(specials) // 2:seam - len(specials) // 2 + len(specials)] = specials
+    return x
+
+
+NORMAL = Normal(1.5, 3.0)
+SEAM_CASES = {
+    "normal_cdf": (normal_cdf, -40.0, 40.0, [np.nan, np.inf, -np.inf, 0.0, 1.0, -0.0]),
+    "normal_cdf_shifted": (lambda x: normal_cdf(x, mean=1.5, sd=3.0), -40.0, 40.0,
+                           [np.nan, np.inf, -np.inf, 0.0, 1.0]),
+    "normal_quantile": (normal_quantile, 0.0, 1.0, [np.nan, 0.0, 1.0, 0.5, np.inf, -np.inf]),
+    "Normal.cdf": (NORMAL.cdf, -40.0, 40.0, [np.nan, np.inf, -np.inf, 0.0, 1.0]),
+    "Normal.survival": (NORMAL.survival, -40.0, 40.0, [np.nan, np.inf, -np.inf, 0.0, 1.0]),
+    "Normal.quantile": (NORMAL.quantile, 0.0, 1.0, [0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16]),
+}
+
+
+class TestBlocks:
+    """Inputs longer than _BLOCK points run in _BLOCK-point slices."""
+
+    @pytest.mark.parametrize("name", SEAM_CASES)
+    def test_seams_keep_bits(self, name):
+        fn, low, high, specials = SEAM_CASES[name]
+        x = _seam_inputs(low, high, specials)
+        whole = fn(x)
+        pieces = np.concatenate([fn(x[k:k + 1000]) for k in range(0, x.size, 1000)])
+        assert whole.dtype == np.float64 and whole.shape == x.shape
+        assert np.array_equal(whole.view(np.int64), pieces.view(np.int64))
+
+    @pytest.mark.parametrize("fn,low,high", [(normal_cdf, -9.0, 9.0), (normal_quantile, 0.0, 1.0)])
+    def test_large_2d_input_keeps_its_shape(self, fn, low, high):
+        x = np.random.default_rng(19).uniform(low, high, (3, _BLOCK // 2 + 11))
+        for arr in (x, x.T):  # C and Fortran order
+            got = fn(arr)
+            assert got.shape == arr.shape
+            assert np.array_equal(got, fn(arr.ravel()).reshape(arr.shape))
+
+    def test_large_integer_input_gives_floats(self):
+        k = np.arange(-_BLOCK, _BLOCK + 37) % 15 - 7
+        got = normal_cdf(k)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), normal_cdf(k.astype(float)).view(np.int64))
+
+    def test_quantile_memory_is_bounded(self):
+        p = np.random.default_rng(23).random(1_000_000)
+        normal_quantile(p)
+        tracemalloc.start()
+        try:
+            normal_quantile(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MB output and one block's temporaries; one pass over all the
+        # points held about 75 MB
+        assert peak < 24 * 2 ** 20
