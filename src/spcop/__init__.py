@@ -7,8 +7,8 @@ from .copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian,
                      Independence, MarshallOlkinConnecting,
                      MarshallOlkinSurvival, Mixture, OrderStatistics, Shuffle,
                      SurvivalOf, Transpose, copula_from_json, copula_sample,
-                     copula_to_json, rect_measure, sample_uv, survival_of,
-                     transpose, validate_copula)
+                     copula_to_json, sample_uv, survival_of, transpose,
+                     validate_copula)
 from .dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                    OrderCheckResult, PiecewiseLinearCdf, Uniform, UniformPower,
                    check_order, dist_from_json, dist_to_json)

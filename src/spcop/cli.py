@@ -220,6 +220,7 @@ def _cmd_curve(args, doc, stream):
         values = doc["values"]
         if not isinstance(values, list) or not values:
             raise SpecError(f"'values' must be a non-empty array, got {values!r}")
+        count = len(values)
     else:
         bounds = [_need(doc, k) for k in ("start", "stop", "step")]
         try:
@@ -232,9 +233,10 @@ def _cmd_curve(args, doc, stream):
                             f"got start={start}, stop={stop}, step={step}")
         # floor keeps the last value at or before stop; 1e-9 absorbs division noise
         count = math.floor(span + 1e-9) + 1
-        if count > CURVE_VALUE_BUDGET:
-            raise SpecError(f"a curve range holds at most {CURVE_VALUE_BUDGET} values, "
-                            f"got {count}")
+    # either form is bounded before any value is built or any report runs
+    if count > CURVE_VALUE_BUDGET:
+        raise SpecError(f"a curve holds at most {CURVE_VALUE_BUDGET} values, got {count}")
+    if "values" not in doc:
         values = [round(start + i * step, 12) + 0.0 for i in range(count)]
     specs = [copula_from_json({"node": family, param: x}) for x in values]
     reports = [best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed, tol=args.tol,

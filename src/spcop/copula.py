@@ -24,7 +24,7 @@ __all__ = [
     "CopulaSpec", "Independence", "Comonotone", "Countermonotone", "Shuffle",
     "Gaussian", "MarshallOlkinSurvival", "MarshallOlkinConnecting",
     "OrderStatistics", "Mixture", "Transpose", "SurvivalOf",
-    "rect_measure", "copula_sample", "sample_uv", "transpose", "survival_of",
+    "cell_masses", "copula_sample", "sample_uv", "transpose", "survival_of",
     "validate_copula",
     "copula_to_json", "copula_from_json", "COPULA_NODES",
 ]
@@ -292,9 +292,10 @@ def _mo_construction(rng, n, a1, a2):
     v_shock = rng.exponential(scale=1.0 / (1.0 / a1 - 1.0), size=n)
     w_shock = rng.exponential(scale=1.0 / (1.0 / a2 - 1.0), size=n)
     z_shock = rng.exponential(scale=1.0, size=n)
-    x1 = np.minimum(v_shock, z_shock)
-    x2 = np.minimum(w_shock, z_shock)
+    # the tie flag first, so the two minima can overwrite their own shocks
     tie = z_shock <= np.minimum(v_shock, w_shock)
+    x1 = np.minimum(v_shock, z_shock, out=v_shock)
+    x2 = np.minimum(w_shock, z_shock, out=w_shock)
     return x1, x2, tie
 
 
@@ -550,11 +551,10 @@ class MarshallOlkinConnecting(_Involution, CopulaSpec):
 # operations
 
 
-def rect_measure(spec: CopulaSpec, u1, u2, v1, v2):
-    """C-mass of [u1,u2] x [v1,v2] by inclusion-exclusion."""
-    if np.any(np.greater(u1, u2)) or np.any(np.greater(v1, v2)):
-        raise SpecError("rect_measure needs u1 <= u2 and v1 <= v2")
-    return spec.cdf(u2, v2) - spec.cdf(u1, v2) - spec.cdf(u2, v1) + spec.cdf(u1, v1)
+def cell_masses(cc):
+    """C-mass of every cell of a cdf lattice cc[i, j] = C(u_i, v_j), by
+    inclusion-exclusion: cell (i, j) is [u_i, u_i+1] x [v_j, v_j+1]."""
+    return cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
 
 
 def sample_uv(spec: CopulaSpec, n: int, seed: int, workers: int = 1):
@@ -614,7 +614,7 @@ def validate_copula(spec: CopulaSpec, grid: int = 64) -> list[dict]:
         if abs(c_1v[i] - t) > _AXIOM_TOL:
             report("boundary C(1,v)=v", 1.0, t, c_1v[i])
 
-    masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
+    masses = cell_masses(cc)
     bad = np.argwhere(masses < -_AXIOM_TOL)
     for i, j in bad[:_MAX_VIOLATIONS]:
         report("2-increasing", ts[i], ts[j], masses[i, j])

@@ -17,7 +17,7 @@ from .copula import (CopulaSpec, Independence, MarshallOlkinConnecting,
                      OrderStatistics, Shuffle, sample_uv)
 from .dist import Distribution, Uniform
 from .errors import SpecError
-from .rng import make_stream, open_uniform
+from .rng import make_stream, open_uniform, run_all
 
 __all__ = [
     "LoadSharingModel", "load_sharing_sample", "load_sharing_survival",
@@ -32,12 +32,23 @@ _CHECK_GRID = 32  # points of the load-sharing and order-statistics curve checks
 MIN_SAMPLES = 10_000
 # (alpha1, alpha2) of the survival-form eta audit: one per branch, and the diagonal
 _AUDIT_PAIRS = ((0.4, 0.2), (0.2, 0.4), (0.3, 0.3))
+_BLOCK = 65_536  # points per block of the sampled checks' counts and draws
 
 
 def _tol(var, n):
     """3 sigma of a mean of n draws of variance var, floored at 0.002: the
     floor is calibrated for n=1e6, where every 3 sigma here stays below it."""
     return max(0.002, 3.0 * math.sqrt(var / n))
+
+
+def _blocks(n):
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+
+
+def _share(test, x, y):
+    """np.mean(test(x, y)) without its n-point mask: the count, summed block by
+    block, over n is correctly rounded, as np.mean's is."""
+    return sum(np.count_nonzero(test(x[b], y[b])) for b in _blocks(len(x))) / len(x)
 
 
 def _counts_le(x, ts):
@@ -116,12 +127,18 @@ def load_sharing_checks(model: LoadSharingModel, n: int, seed: int) -> dict:
 
 def order_stats_triple_sample(n: int, seed: int, base: Distribution = Uniform(0.0, 1.0)):
     """(t, x', x'') with t = min of two iid draws, x' their max, x'' the max
-    of three more iid draws from the same base law."""
+    of three more iid draws from the same base law.
+
+    Rows are drawn and reduced in blocks: consecutive draws continue one
+    Philox stream and every step is pointwise per row, so the block size
+    changes no bit."""
     rng = make_stream(seed)
-    draws = base.quantile(open_uniform(rng, 5 * n).reshape(n, 5))
-    t = np.minimum(draws[:, 0], draws[:, 1])
-    x_prime = np.maximum(draws[:, 0], draws[:, 1])
-    x_double = np.max(draws[:, 2:], axis=1)
+    t, x_prime, x_double = np.empty(n), np.empty(n), np.empty(n)
+    for b in _blocks(n):
+        draws = base.quantile(open_uniform(rng, 5 * (b.stop - b.start)).reshape(-1, 5))
+        np.minimum(draws[:, 0], draws[:, 1], out=t[b])
+        np.maximum(draws[:, 0], draws[:, 1], out=x_prime[b])
+        np.max(draws[:, 2:], axis=1, out=x_double[b])
     return t, x_prime, x_double
 
 
@@ -158,40 +175,44 @@ def mo_construction_sample(alpha1: float, alpha2: float, n: int, seed: int):
     v = rng.exponential(1.0 / (1.0 / alpha1 - 1.0), n)
     w = rng.exponential(1.0 / (1.0 / alpha2 - 1.0), n)
     z = rng.exponential(1.0, n)
-    x1 = np.minimum(v, z)
-    x2 = np.minimum(w, z)
+    # the tie flag first, so the two minima can overwrite their own shocks
     tie = z <= np.minimum(v, w)
-    return x1, x2, tie
+    return np.minimum(v, z, out=v), np.minimum(w, z, out=w), tie
 
 
 def _empirical_copula(u, v, qs):
     """Share of points with u <= qs[a] and v <= qs[b], for every (a, b), in one
     counting pass: bins from searchsorted (side left: u <= qs[k] iff bin <= k),
-    a 2-D cumsum of the bin counts, then count / n, which has np.mean's bits."""
+    counted block by block, a 2-D cumsum of the bin counts, then count / n,
+    which has np.mean's bits."""
     m = len(qs) + 1
-    cells = np.searchsorted(qs, u) * m + np.searchsorted(qs, v)
-    counts = np.bincount(cells, minlength=m * m).reshape(m, m)
-    return counts.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / len(u)
+    counts = np.zeros(m * m, dtype=np.int64)
+    for b in _blocks(len(u)):
+        counts += np.bincount(np.searchsorted(qs, u[b]) * m + np.searchsorted(qs, v[b]),
+                              minlength=m * m)
+    return counts.reshape(m, m).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / len(u)
 
 
 def mo_checks(alpha1: float, alpha2: float, n: int, seed: int) -> dict:
     x1, x2, tie = mo_construction_sample(alpha1, alpha2, n, seed)
     den = alpha1 + alpha2 - alpha1 * alpha2
-    p_le, p_lt, p_eq = (float(np.mean(x1 <= x2)), float(np.mean(x1 < x2)),
-                        float(np.mean(x1 == x2)))
+    p_le, p_lt, p_eq = (_share(np.less_equal, x1, x2), _share(np.less, x1, x2),
+                        _share(np.equal, x1, x2))
     expect = {"p_le": alpha2 / den, "p_lt": (1.0 - alpha1) * alpha2 / den,
               "p_eq": alpha1 * alpha2 / den}
-    tie_frac = float(np.mean(tie))
+    tie_frac = np.count_nonzero(tie) / n
 
     def tol(p):
         return _tol(p * (1.0 - p), n)
 
-    # empirical copula of the construction vs the library's connecting sampler
-    u1 = -np.expm1(-x1 / alpha1)
-    v1 = -np.expm1(-x2 / alpha2)
-    u2, v2, _, _ = sample_uv(MarshallOlkinConnecting(alpha1, alpha2), n, seed + 1)
+    # empirical copula of the construction vs the library's connecting sampler;
+    # the construction's arrays go before the sampler draws its own
     qs = np.linspace(1.0 / 16, 15.0 / 16, 15)
-    emp1 = _empirical_copula(u1, v1, qs)
+    u1 = -np.expm1(-x1 / alpha1)
+    del x1, tie
+    emp1 = _empirical_copula(u1, -np.expm1(-x2 / alpha2), qs)
+    del x2, u1
+    u2, v2, _, _ = sample_uv(MarshallOlkinConnecting(alpha1, alpha2), n, seed + 1)
     emp2 = _empirical_copula(u2, v2, qs)
     dkw = 4.0 * (1.0 / math.sqrt(n) + 1.0 / math.sqrt(n))
     cop_dev = float(np.max(np.abs(emp1 - emp2)))
@@ -218,10 +239,7 @@ def mo_survival_eta_audit(n: int, seed: int) -> dict:
     """
     rows = []
     for i, (a1, a2) in enumerate(_AUDIT_PAIRS):
-        x1, x2, _ = mo_construction_sample(a1, a2, n, seed + i)
-        u = np.exp(-x1 / a1)
-        v = np.exp(-x2 / a2)
-        est = float(np.mean(u <= v))
+        est = _survival_eta(a1, a2, n, seed + i)
         tol = _tol(est * (1.0 - est), n)
         branch_le = 1.0 / (2.0 - a1)          # formula branch for a1 <= a2
         branch_gt = (1.0 - a2) / (2.0 - a2)   # formula branch for a1 > a2
@@ -239,6 +257,15 @@ def mo_survival_eta_audit(n: int, seed: int) -> dict:
         if all(r["matching_branch"] == "alpha1<=alpha2" for r in diag) else
         "diagonal measurement did not match the alpha1<=alpha2 branch")
     return {"rows": rows, "off_diagonal_ok": off_ok, "diagonal_resolution": diag_resolution}
+
+
+def _survival_eta(a1, a2, n, seed):
+    """Share of u <= v, with u = exp(-x1/a1) and v = exp(-x2/a2) from the
+    construction; x1 goes before v is mapped, and the rest on return."""
+    x1, x2, _ = mo_construction_sample(a1, a2, n, seed)
+    u = np.exp(-x1 / a1)
+    del x1
+    return _share(np.less_equal, u, np.exp(-x2 / a2))
 
 
 def grid_eta_oracle(spec: CopulaSpec, g1: Distribution, g2: Distribution,
@@ -270,21 +297,21 @@ def run_verification(n: int = 10 ** 6, seed: int = 20240801) -> dict:
     """All oracle differential checks as a machine-readable report."""
     if n < MIN_SAMPLES:
         raise SpecError(f"verification needs n >= {MIN_SAMPLES}, got {n}")
+    # each sampled group draws from its own Philox streams, so running them
+    # at once on the chunk pool changes no bit
+    mo, audit, ls, os_checks = run_all([
+        (mo_checks, 0.4, 0.2, n, seed), (mo_survival_eta_audit, n, seed + 10),
+        (load_sharing_checks, LoadSharingModel(2.0, 2.5), n, seed + 20),
+        (order_stats_checks, n, seed + 30)])
     checks = []
-
-    mo = mo_checks(0.4, 0.2, n, seed)
     checks.append({"name": "mo_probabilities", "passed": bool(
         mo["p_le_ok"] and mo["p_lt_ok"] and mo["p_eq_ok"] and mo["tie_matches_singular_mass"]),
         "detail": {k: mo[k] for k in ("p_x1_le_x2", "p_x1_lt_x2", "p_x1_eq_x2",
                                       "expected", "tie_fraction")}})
     checks.append({"name": "mo_vs_copula_sampler", "passed": bool(mo["copula_sampler_ok"]),
                    "detail": {"max_dev": mo["copula_sampler_max_dev"]}})
-
-    audit = mo_survival_eta_audit(n, seed + 10)
     checks.append({"name": "mo_survival_eta_audit", "passed": bool(audit["off_diagonal_ok"]),
                    "detail": audit})
-
-    ls = load_sharing_checks(LoadSharingModel(2.0, 2.5), n, seed + 20)
     checks.append({"name": "load_sharing_probability", "passed": bool(ls["p_x_le_y_ok"]),
                    "detail": {"p_x_le_y": ls["p_x_le_y"],
                               "expected": ls["p_x_le_y_expected"]}})
@@ -295,8 +322,6 @@ def run_verification(n: int = 10 ** 6, seed: int = 20240801) -> dict:
                    "detail": {"max_dominance_excess": ls["max_dominance_excess"],
                               "note": "survival of X crosses exp(-lam x); "
                                       "dominance fails on the bulk of the support"}})
-
-    os_checks = order_stats_checks(n, seed + 30)
     checks.append({"name": "order_stats_triple", "passed": bool(
         os_checks["p_t_le_xprime_ok"] and os_checks["p_t_le_xdouble_ok"]
         and os_checks["xprime_st_xdouble"]), "detail": os_checks})

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 # sample_uv stays a module attribute: the benchmark tracer patches it here by name
-from .copula import CopulaSpec, sample_uv  # noqa: F401
+from .copula import CopulaSpec, cell_masses, sample_uv  # noqa: F401
 from .dist import DiscreteAtoms, Distribution, check_order
 from .errors import Inconclusive, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
@@ -183,7 +183,7 @@ def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
     rows, cols = np.nonzero(need)
     cc = np.zeros(need.shape)
     cc[rows, cols] = spec.cdf(ue[rows], ve[cols])
-    masses = cc[1:, 1:] - cc[:-1, 1:] - cc[1:, :-1] + cc[:-1, :-1]
+    masses = cell_masses(cc)
     eta = float(np.sum(masses[le]))
     xi = float(np.sum(masses[eq]))
     eta = min(max(eta, 0.0), 1.0)

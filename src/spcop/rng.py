@@ -3,8 +3,8 @@
 Philox is counter-based, so a (seed, worker) pair pins the stream exactly;
 batch work is split into per-worker chunks whose layout depends only on
 (n, workers), making every estimate a pure function of (seed, workers).
-map_chunks runs the chunks on up to one thread per usable CPU; the thread
-count never changes a result.
+run_all runs independent calls, such as map_chunks' chunks, on up to one
+thread per usable CPU; the thread count never changes a result.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SpecError
 
 __all__ = ["make_stream", "worker_streams", "chunk_sizes", "open_uniform", "resolve_workers",
-           "pool_size", "map_chunks", "MAX_WORKERS"]
+           "pool_size", "run_all", "map_chunks", "MAX_WORKERS"]
 
 # each worker is one Philox stream and one chunk, so the count bounds the work
 MAX_WORKERS = 1024
@@ -47,37 +47,44 @@ def pool_size(workers: int) -> int:
     return max(1, min(workers, cpus or 1))
 
 
-def map_chunks(fn, n: int, seed: int, workers=None) -> list:
-    """[fn(stream, m) for each worker's stream and chunk size m > 0], in chunk order.
+def run_all(calls) -> list:
+    """[f(*args) for f, *args in calls], in call order.
 
-    The chunks run on pool_size(chunks) threads; numpy releases the
+    The calls run on pool_size(len(calls)) threads; numpy releases the
     interpreter lock inside its array loops, so they overlap. The first
-    chunk error, in chunk order, is raised once every chunk has finished.
+    error in call order is raised; on threads, once every call has finished.
     """
-    workers = resolve_workers(workers)
-    jobs = [(stream, m) for stream, m in zip(worker_streams(seed, workers),
-                                             chunk_sizes(n, workers)) if m > 0]
-    threads = pool_size(len(jobs))
+    threads = pool_size(len(calls))
     if threads == 1:
-        return [fn(stream, m) for stream, m in jobs]
-    # 6-8 ms of import on a 2-core Xeon, paid only when chunks run on threads
+        return [f(*args) for f, *args in calls]
+    # 6-8 ms of import on a 2-core Xeon, paid only when calls run on threads
     from concurrent.futures import ThreadPoolExecutor
 
     _share_malloc_arena()
     with ThreadPoolExecutor(threads) as pool:
-        futures = [pool.submit(fn, stream, m) for stream, m in jobs]
+        futures = [pool.submit(*call) for call in calls]
     return [f.result() for f in futures]
+
+
+def map_chunks(fn, n: int, seed: int, workers=None) -> list:
+    """[fn(stream, m) for each worker's stream and chunk size m > 0], in chunk
+    order, through run_all."""
+    workers = resolve_workers(workers)
+    return run_all([(fn, stream, m) for stream, m in zip(worker_streams(seed, workers),
+                                                         chunk_sizes(n, workers)) if m > 0])
 
 
 def _share_malloc_arena():
     """Let new threads allocate from glibc's one main arena.
 
-    By default each chunk thread gets an arena of its own, which keeps the
-    pages its chunk freed; the next request, on another thread, cannot reuse
+    By default each pool thread gets an arena of its own, which keeps the
+    pages its call freed; the next request, on another thread, cannot reuse
     them: on the mc_eta benchmark (2-core Xeon, glibc 2.36, normal kernels in
-    65,536-point blocks) that raised peak RSS from 106-109 to 165 MB. Big
-    numpy buffers are allocated a few times per chunk, with the interpreter
-    lock held, so threads hardly contend for the shared arena.
+    65,536-point blocks) that raised peak RSS from 106-109 to 165 MB. Every
+    run_all on threads sets the cap, so it covers both the Monte Carlo chunks
+    and verify's sampled check groups. Big numpy buffers are allocated a few
+    times per call, with the interpreter lock held, so threads hardly contend
+    for the shared arena.
     """
     try:
         ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spcop import cli
+from spcop import cli, oracle, rng
 from spcop.cli import CURVE_VALUE_BUDGET, _build_parser, _emit_table, _metadata, main, run
 from spcop.errors import SpcopError, SpecError
 from spcop.rng import MAX_WORKERS, resolve_workers
@@ -350,6 +350,7 @@ GAUSS_MIX = {"copula": {"node": "mixture", "weights": [0.7, 0.3], "components": 
     "g1": {"kind": "normal", "mean": 0, "sd": 1}, "g2": {"kind": "normal", "mean": 0.25, "sd": 1.5}}
 BLOCK_ETA_ARGS = ("--samples", "200000", "--seed", "7")
 BLOCK_SAMPLE_ARGS = ("--samples", "140000", "--seed", "11", "--workers", "1", "--output", "csv")
+VERIFY_BLOCK_SAMPLES = 200_003
 
 
 class TestGoldenOutput:
@@ -434,6 +435,25 @@ class TestGoldenOutput:
         code, out = invoke(["verify", "--samples", "100000", "--seed", "1", "--output", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fmt,seed,digest", [
+        ("json", 1, "dd5197d3685c050878ed0620eb598e8f0504f80713a9fe9aa714332bc3e3290f"),
+        ("csv", 1, "d3e5d5db8bc2988694664722da22c7ada9eee84a97321e30ba8cd5d1fe22a092"),
+        ("json", 2, "cc373f3bf1639a992b3fd024b4749ea4b04ae52edf60deea3c9cef43556f82da"),
+        ("csv", 2, "72a8714215101df41c9e48429c87828aa1ff1df0b2d649510813924bd49b3d74"),
+    ])
+    def test_verify_block_digest(self, monkeypatch, fmt, seed, digest, threads):
+        # VERIFY_BLOCK_SAMPLES ends several count and draw blocks in a ragged
+        # tail; the sampled check groups run on one thread or on two
+        monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+        code, out = invoke(["verify", "--samples", str(VERIFY_BLOCK_SAMPLES), "--seed", str(seed),
+                            "--output", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify_block_case_crosses_seams(self):
+        assert VERIFY_BLOCK_SAMPLES > 3 * oracle._BLOCK and VERIFY_BLOCK_SAMPLES % oracle._BLOCK
 
 
 def row_writer(stream, args, columns, method):
@@ -638,6 +658,22 @@ class TestMalformedInputs:
         body = [l for l in out.splitlines() if not l.startswith("#")]
         gammas = [float(l.split(",")[0]) for l in body[1:]]
         assert code == 0 and len(gammas) == 1000 and gammas[-1] == 0.9991
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_curve_values_beyond_the_budget_run_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        output):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(cli, "copula_from_json", never)
+        monkeypatch.setattr(cli, "best_eta_report", never)
+        spec = write_doc(tmp_path, "c.json", {
+            "family": "shuffle", "values": [0.5] * (CURVE_VALUE_BUDGET + 1)})
+        assert main(["curve", "--spec", spec, "--output", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a curve holds at most {CURVE_VALUE_BUDGET} values, "
+                                f"got {CURVE_VALUE_BUDGET + 1}\n")
 
     def test_curve_range_of_the_largest_length(self, tmp_path):
         spec = write_doc(tmp_path, "c.json", {

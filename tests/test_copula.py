@@ -14,7 +14,7 @@ from spcop.copula import (_CDF_BLOCK, COPULA_NODES, Comonotone, CopulaSpec,
                           Independence, MarshallOlkinConnecting,
                           MarshallOlkinSurvival, Mixture, OrderStatistics,
                           Shuffle, SurvivalOf, Transpose, copula_from_json,
-                          copula_sample, copula_to_json, rect_measure,
+                          cell_masses, copula_sample, copula_to_json,
                           sample_uv, survival_of, transpose, validate_copula)
 from spcop.errors import SpecError, UnknownMass
 from spcop.integrate import integrate_adaptive
@@ -132,19 +132,26 @@ class TestGaussianCdfBits:
         assert peak < 8 * 2 ** 20
 
 
+def lattice_masses(spec, us, vs):
+    """cell_masses of spec's cdf lattice over the edges us x vs."""
+    return cell_masses(spec.cdf(np.asarray(us, dtype=float)[:, None],
+                                np.asarray(vs, dtype=float)[None, :]))
+
+
 class TestRectMeasure:
+    """Rectangle C-measures, as cell_masses gives them from a cdf lattice."""
+
     def test_independence_square(self):
-        assert rect_measure(Independence(), 0, 0.5, 0, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert lattice_masses(Independence(), [0, 0.5], [0, 0.5])[0, 0] == pytest.approx(
+            0.25, abs=1e-15)
 
     def test_comonotone_off_diagonal(self):
-        assert rect_measure(Comonotone(), 0, 0.5, 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert lattice_masses(Comonotone(), [0, 0.5], [0.5, 1.0])[0, 0] == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_shuffle_mapped_block(self):
-        assert rect_measure(Shuffle(0.3), 0, 0.3, 0.7, 1.0) == pytest.approx(0.3, abs=1e-15)
-
-    def test_rejects_inverted_rectangle(self):
-        with pytest.raises(SpecError):
-            rect_measure(Independence(), 0.5, 0.2, 0.0, 1.0)
+        assert lattice_masses(Shuffle(0.3), [0, 0.3], [0.7, 1.0])[0, 0] == pytest.approx(
+            0.3, abs=1e-15)
 
     @pytest.mark.parametrize("spec", REGISTRY, ids=lambda s: s.node)
     def test_nonnegative_and_additive(self, spec):
@@ -152,11 +159,10 @@ class TestRectMeasure:
         for _ in range(50):
             u1, u2 = np.sort(rng.random(2))
             v1, v2 = np.sort(rng.random(2))
-            m = rect_measure(spec, u1, u2, v1, v2)
-            assert m >= -1e-12
-            um = 0.5 * (u1 + u2)
-            split = rect_measure(spec, u1, um, v1, v2) + rect_measure(spec, um, u2, v1, v2)
-            assert m == pytest.approx(split, abs=1e-12)
+            whole = lattice_masses(spec, [u1, u2], [v1, v2])[0, 0]
+            halves = lattice_masses(spec, [u1, 0.5 * (u1 + u2), u2], [v1, v2])
+            assert whole >= -1e-12 and np.all(halves >= -1e-12)
+            assert whole == pytest.approx(halves.sum(), abs=1e-12)
 
 
 class TestTransforms:

@@ -1,7 +1,9 @@
 """Independent oracles: load-sharing pair, order-statistics triple, common-
 shock construction, and the certified grid bracket."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from spcop.copula import (Independence, MarshallOlkinConnecting,
                           OrderStatistics, Shuffle, sample_uv)
 from spcop.dist import Exponential, Normal, Uniform
 from spcop.errors import SpecError
-from spcop.oracle import (_CHECK_GRID, LoadSharingModel, _counts_le,
-                          _empirical_copula, grid_eta_oracle,
+from spcop.oracle import (_BLOCK, _CHECK_GRID, LoadSharingModel, _counts_le,
+                          _empirical_copula, _share, grid_eta_oracle,
                           load_sharing_checks, load_sharing_sample,
                           load_sharing_survival, mo_checks,
                           mo_construction_sample, mo_survival_eta_audit,
@@ -82,6 +84,13 @@ class TestOrderStatsTriple:
         t2, _, xpp2 = order_stats_triple_sample(100_000, seed=69, base=Normal(2.0, 3.0))
         assert abs(np.mean(t2 <= xpp2) - 0.9) < 0.01
 
+    def test_blocks_keep_the_bits(self):
+        # a non-uniform base over 3 blocks and a ragged tail; the digest is the
+        # one the sampler gave when it drew all 5 n uniforms in one call
+        t, xp, xpp = order_stats_triple_sample(3 * _BLOCK + 17, 29, base=Normal(2.0, 3.0))
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (t, xp, xpp))).hexdigest()
+        assert digest == "73d3b6e3fb8e03fb0910ba122d7c0e2f90f177154be6e2829e5abca263cc3ef4"
+
 
 class TestMoConstruction:
     def test_three_probabilities(self):
@@ -146,6 +155,12 @@ class TestEmpiricalCopulaByCounting:
         counted = (n - _counts_le(x, ts)) / n
         assert np.array_equal(counted.view(np.int64), swept.view(np.int64))
 
+    def test_share_equals_mean_bit_for_bit(self):
+        x1, x2, _ = mo_construction_sample(0.4, 0.2, 3 * _BLOCK + 17, 77)
+        for test in (np.less_equal, np.less, np.equal):
+            assert np.float64(_share(test, x1, x2)).view(np.int64) == np.mean(
+                test(x1, x2)).view(np.int64)
+
     def test_values_on_the_edges(self):
         # 0, 1, every level k/16 exactly and both neighbours, in all pairs
         assert np.array_equal(QS * 16, np.arange(1.0, 16.0))
@@ -204,3 +219,21 @@ def test_run_verification_shape():
         else:
             assert check["passed"], name
     assert not rep["passed"]
+
+
+@pytest.mark.parametrize("group", [
+    lambda n: mo_checks(0.4, 0.2, n, 1),
+    lambda n: mo_survival_eta_audit(n, 11),
+    lambda n: load_sharing_checks(LoadSharingModel(2.0, 2.5), n, 21),
+    lambda n: order_stats_checks(n, 31),
+], ids=["mo_checks", "mo_survival_eta_audit", "load_sharing_checks", "order_stats_checks"])
+def test_sampled_group_memory_is_bounded(group):
+    # verify runs two groups at once; each holds at most about five 1e6-point
+    # arrays (the parent's mo_checks, audit and order statistics: 78, 78, 76 MiB)
+    tracemalloc.start()
+    try:
+        group(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20

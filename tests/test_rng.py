@@ -2,11 +2,13 @@
 
 import os
 import threading
+import time
 
 import pytest
 
+from spcop import rng
 from spcop.errors import SpecError
-from spcop.rng import MAX_WORKERS, chunk_sizes, map_chunks, pool_size, worker_streams
+from spcop.rng import MAX_WORKERS, chunk_sizes, map_chunks, pool_size, run_all, worker_streams
 
 CPUS = len(os.sched_getaffinity(0))
 
@@ -51,3 +53,34 @@ def test_the_first_chunk_error_in_chunk_order_is_raised():
 
     with pytest.raises(SpecError, match="chunk of 4"):
         map_chunks(fail_late, 10, 5, 3)  # chunks 4, 3, 3
+
+
+def finish_after(delay, value):
+    time.sleep(delay)
+    return value
+
+
+def fail_after(delay, message, finished):
+    time.sleep(delay)
+    finished.append(message)
+    raise SpecError(message)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_all_returns_results_in_call_order(monkeypatch, threads):
+    monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+    # later calls finish first on two threads
+    calls = [(finish_after, 0.01 * (5 - k), k) for k in range(5)]
+    assert run_all(calls) == list(range(5))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_all_raises_the_first_error_in_call_order(monkeypatch, threads):
+    monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+    finished = []
+    calls = [(finish_after, 0.0, "ok"), (fail_after, 0.05, "first", finished),
+             (fail_after, 0.0, "second", finished), (fail_after, 0.0, "third", finished)]
+    with pytest.raises(SpecError, match="first"):
+        run_all(calls)
+    # one thread stops at the first error; a pool lets every call finish
+    assert sorted(finished) == (["first"] if threads == 1 else ["first", "second", "third"])
