@@ -288,15 +288,19 @@ def _mo_validate(alpha1, alpha2):
         raise SpecError(f"Marshall-Olkin alphas must lie in (0,1), got ({alpha1}, {alpha2})")
 
 
-def _mo_construction(rng, n, a1, a2):
+def _mo_construction(rng, n, a1, a2, to_unit):
+    """(u, v, tie): each shock minimum x_i mapped to to_unit(-x_i / a_i) and
+    clipped into (0,1), in place in its own shock's memory."""
     v_shock = rng.exponential(scale=1.0 / (1.0 / a1 - 1.0), size=n)
     w_shock = rng.exponential(scale=1.0 / (1.0 / a2 - 1.0), size=n)
     z_shock = rng.exponential(scale=1.0, size=n)
     # the tie flag first, so the two minima can overwrite their own shocks
     tie = z_shock <= np.minimum(v_shock, w_shock)
-    x1 = np.minimum(v_shock, z_shock, out=v_shock)
-    x2 = np.minimum(w_shock, z_shock, out=w_shock)
-    return x1, x2, tie
+    for shock, a in ((v_shock, a1), (w_shock, a2)):
+        x = np.minimum(shock, z_shock, out=shock)
+        x /= -a  # x/(-a) is -(x/a) exactly
+        clip_open(to_unit(x, out=x), out=x)
+    return v_shock, w_shock, tie
 
 
 @dataclass(frozen=True)
@@ -314,9 +318,7 @@ class MarshallOlkinSurvival(CopulaSpec):
         return np.minimum(u ** (1.0 - self.alpha1) * v, u * v ** (1.0 - self.alpha2))
 
     def sample_arrays(self, rng, n):
-        x1, x2, tie = _mo_construction(rng, n, self.alpha1, self.alpha2)
-        u = clip_open(np.exp(-x1 / self.alpha1))
-        v = clip_open(np.exp(-x2 / self.alpha2))
+        u, v, tie = _mo_construction(rng, n, self.alpha1, self.alpha2, np.exp)
         return u, v, tie.copy(), tie
 
     def singular_mass(self):
@@ -531,9 +533,8 @@ class MarshallOlkinConnecting(_Involution, CopulaSpec):
         return MarshallOlkinSurvival(self.alpha1, self.alpha2)
 
     def sample_arrays(self, rng, n):
-        x1, x2, tie = _mo_construction(rng, n, self.alpha1, self.alpha2)
-        u = clip_open(-np.expm1(-x1 / self.alpha1))
-        v = clip_open(-np.expm1(-x2 / self.alpha2))
+        u, v, tie = _mo_construction(rng, n, self.alpha1, self.alpha2,
+                                     lambda x, out: np.negative(np.expm1(x, out=out), out=out))
         return u, v, tie.copy(), tie
 
     def closed_eta_xi_with(self, g1, g2):

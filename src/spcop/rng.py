@@ -99,9 +99,9 @@ def open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def clip_open(u: np.ndarray) -> np.ndarray:
+def clip_open(u: np.ndarray, out=None) -> np.ndarray:
     """Clamp mapped coordinates back into (0,1) after float saturation."""
-    return np.clip(u, _TINY, _BELOW_ONE)
+    return np.clip(u, _TINY, _BELOW_ONE, out=out)
 
 
 def resolve_workers(workers=None) -> int:

@@ -284,6 +284,38 @@ class TestSampling:
         digest = hashlib.sha256(b"".join(a.tobytes() for a in (u, v, sing, tie))).hexdigest()
         assert digest == "d3b4d7c70b82f23bfb1b1449c4ed4b82e8d55827f88fb1dcde6ccc1b9e87c2a9"
 
+    # recorded before the Marshall-Olkin samplers mapped their shock minima in place
+    MO_DIGESTS = [
+        (MarshallOlkinSurvival(0.4, 0.2), 1,
+         "020a62042faec374e08b286a160a9df1a8c61b79286afb157bc38b032571fc55"),
+        (MarshallOlkinSurvival(0.4, 0.2), 2,
+         "711c4757a81c4c926eaf525b899eeb76b901b7769f30c6c13ce00ef07129dcae"),
+        (MarshallOlkinConnecting(0.3, 0.6), 1,
+         "f659be0c6301da3db84deae815ac8293a671f8db44017625f24f2a55031c3b0e"),
+        (MarshallOlkinConnecting(0.3, 0.6), 2,
+         "ba7af54a36d5eb71ca8034c7a10454df6ed45aa59e04fbe8b142ed56fb13d908"),
+    ]
+
+    @pytest.mark.parametrize("spec,workers,digest", MO_DIGESTS,
+                             ids=[f"{d[0].node}-{d[1]}" for d in MO_DIGESTS])
+    def test_marshall_olkin_sample_bits(self, spec, workers, digest):
+        arrays = sample_uv(spec, 200_003, seed=12, workers=workers)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", [MarshallOlkinSurvival(0.4, 0.2),
+                                      MarshallOlkinConnecting(0.3, 0.6)], ids=lambda s: s.node)
+    def test_marshall_olkin_sample_memory(self, spec):
+        # the construction's three shocks and one temporary set the peak; mapping
+        # the minima into new arrays peaked at 39.1 MiB
+        rng = np.random.default_rng(13)
+        tracemalloc.start()
+        try:
+            spec.sample_arrays(rng, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * 2 ** 20
+
 
 class TestSingularMass:
     def test_examples(self):
