@@ -1,6 +1,6 @@
 """Breadth-first adaptive Simpson: the same integrals and point counts as the
-depth-first recursion, the look-ahead's calls and bounds, the tolerance guard
-and the work cap."""
+depth-first recursion, the look-ahead's calls and bounds, the tolerance and
+bounds guards and the work cap."""
 
 import importlib.util
 import math
@@ -124,15 +124,19 @@ def test_matches_the_recursive_reference(monkeypatch, f, a, b, tol):
 
 
 def _calls(monkeypatch, look_ahead, f, a, b, tol):
-    """(integral, integrand calls, points evaluated) at this LOOK_AHEAD."""
+    """(integral, integrand calls, points evaluated) at this LOOK_AHEAD; no
+    point is handed to f twice."""
     monkeypatch.setattr(integrate, "LOOK_AHEAD", look_ahead)
-    sizes = []
+    seen = []
 
     def batch(u):
-        sizes.append(np.size(u))
+        seen.append(np.array(u, dtype=float).ravel())
         return f(u)
 
-    return integrate_adaptive(batch, a, b, tol), len(sizes), sum(sizes)
+    value = integrate_adaptive(batch, a, b, tol)
+    x = np.concatenate(seen)
+    assert np.unique(x).size == x.size
+    return value, len(seen), x.size
 
 
 def test_a_call_covers_three_levels(monkeypatch):
@@ -221,6 +225,20 @@ def test_empty_interval():
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(SpecError):
         integrate_adaptive(np.sin, 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("f,a,b", [(np.cos, math.nan, 1.0), (np.cos, 0.0, math.nan),
+                                   (np.exp, 0.0, math.inf), (np.exp, -math.inf, 0.0)])
+def test_bounds_must_be_finite(f, a, b):
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return f(u)
+
+    with pytest.raises(SpecError, match=r"quadrature bounds must be finite, got \["):
+        integrate_adaptive(counting, a, b, 1e-9)
+    assert calls == []
 
 
 def test_oscillatory_integrand_hits_the_point_cap():
