@@ -17,7 +17,7 @@ from .errors import (Inconclusive, SizeLimit, SpcopError, SpecError,
 from .oracle import (LoadSharingModel, grid_eta_oracle, load_sharing_sample,
                      mo_construction_sample, order_stats_triple_sample,
                      run_verification)
-from .precedence import (ClassVerdict, PrecedenceReport, SpLevelResult,
+from .precedence import (ClassVerdict, Plan, PrecedenceReport, SpLevelResult,
                          best_eta_report, classify, eta_discrete_exact,
                          eta_exact, eta_lower_bound, eta_mc, eta_quadrature,
                          sp_level)

@@ -26,7 +26,7 @@ from .copula import COPULA_NODES, copula_from_json, copula_sample
 from .dist import check_order, dist_from_json
 from .errors import Inconclusive, SpcopError, SpecError
 from .oracle import run_verification
-from .precedence import best_eta_report, classify, sp_level
+from .precedence import Plan, best_eta_report, classify, sp_level
 from .rng import resolve_workers
 from .tba import Prospect, RankingRow, rank_prospects
 
@@ -136,15 +136,14 @@ def _emit_table(stream, args, columns, method, warnings=()):
     stream.write(f"{head}[\n{rows}\n  ]{tail}\n" if rows else f"{head}[]{tail}\n")
 
 
-def _cmd_eta(args, doc, stream):
+def _cmd_eta(args, doc, stream, plan):
     spec = copula_from_json(_need(doc, "copula"))
     g1, g2 = _marginals(doc)
     exit_code = 0
     level = None
     if args.gamma is not None:
         try:
-            checked = sp_level(spec, g1, g2, args.gamma, n=args.samples, seed=args.seed,
-                               workers=args.workers, tol=args.tol)
+            checked = sp_level(spec, g1, g2, args.gamma, plan)
             report = checked.report
             level = {"gamma": args.gamma, "holds": checked.holds}
         except Inconclusive as exc:
@@ -152,8 +151,7 @@ def _cmd_eta(args, doc, stream):
             level = {"gamma": args.gamma, "holds": None, "inconclusive": str(exc)}
             exit_code = 2
     else:
-        report = best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed,
-                                 tol=args.tol, workers=args.workers)
+        report = best_eta_report(spec, g1, g2, plan)
     result = asdict(report)
     if level is not None:
         result["sp_level"] = level
@@ -161,15 +159,15 @@ def _cmd_eta(args, doc, stream):
     return exit_code
 
 
-def _cmd_classify(args, doc, stream):
+def _cmd_classify(args, doc, stream, plan):
     spec = copula_from_json(_need(doc, "copula"))
     if args.gamma is None:
         raise SpecError("classify needs --gamma")
-    _emit(stream, args, "closed_form", record=asdict(classify(spec, args.gamma, tol=args.tol)))
+    _emit(stream, args, "closed_form", record=asdict(classify(spec, args.gamma, plan.tol)))
     return 0
 
 
-def _cmd_order(args, doc, stream):
+def _cmd_order(args, doc, stream, plan):
     g1 = dist_from_json(_need(doc, "g1"))
     g2 = dist_from_json(_need(doc, "g2"))
     _emit(stream, args, "order_check",
@@ -177,36 +175,35 @@ def _cmd_order(args, doc, stream):
     return 0
 
 
-def _cmd_rank(args, doc, stream):
+def _cmd_rank(args, doc, stream, plan):
     target = dist_from_json(_need(doc, "target"))
     prospects = _need(doc, "prospects")
     if not isinstance(prospects, list):
         raise SpecError(f"'prospects' must be an array, got {prospects!r}")
     prospects = [Prospect.from_json(p) for p in prospects]
-    table = rank_prospects(target, prospects, n=args.samples, seed=args.seed,
-                           workers=args.workers)
+    table = rank_prospects(target, prospects, plan)
     _emit(stream, args, "ranking", record=asdict(table),
           table={f.name: [getattr(row, f.name) for row in table.rows]
                  for f in fields(RankingRow)})
     return 0
 
 
-def _cmd_sample(args, doc, stream):
+def _cmd_sample(args, doc, stream, plan):
     spec = copula_from_json(_need(doc, "copula"))
     _emit(stream, args, "philox_sampler",
-          table=copula_sample(spec, args.seed, args.samples, workers=args.workers))
+          table=copula_sample(spec, plan.samples, plan.seed, plan.workers))
     return 0
 
 
-def _cmd_verify(args, doc, stream):
-    report = run_verification(n=args.samples, seed=args.seed)
+def _cmd_verify(args, doc, stream, plan):
+    report = run_verification(n=plan.samples, seed=plan.seed)
     checks = report["checks"]
     _emit(stream, args, "oracle_suite", record=report,
           table={"check": [c["name"] for c in checks], "passed": [c["passed"] for c in checks]})
     return 0
 
 
-def _cmd_curve(args, doc, stream):
+def _cmd_curve(args, doc, stream, plan):
     family = _need(doc, "family")
     # every node whose only field is a float is a one-parameter family
     families = {node: param for node, cls in COPULA_NODES.items()
@@ -239,8 +236,7 @@ def _cmd_curve(args, doc, stream):
     if "values" not in doc:
         values = [round(start + i * step, 12) + 0.0 for i in range(count)]
     specs = [copula_from_json({"node": family, param: x}) for x in values]
-    reports = [best_eta_report(spec, g1, g2, n=args.samples, seed=args.seed, tol=args.tol,
-                               workers=args.workers) for spec in specs]
+    reports = [best_eta_report(spec, g1, g2, plan) for spec in specs]
     _emit(stream, args, "curve", table={param: [getattr(spec, param) for spec in specs],
                                         "eta": [rep.eta for rep in reports],
                                         "xi": [rep.xi for rep in reports],
@@ -250,8 +246,8 @@ def _cmd_curve(args, doc, stream):
 
 _FLAGS = {  # every flag once, with its argparse keywords
     "spec": {"help": "path to the JSON input document"},
-    "samples": {"type": int, "default": 10 ** 6}, "seed": {"type": int, "default": 0},
-    "workers": {"type": int, "default": 1}, "tol": {"type": float, "default": 1e-9},
+    "samples": {"type": int, "default": Plan.samples}, "seed": {"type": int, "default": Plan.seed},
+    "workers": {"type": int, "default": Plan.workers}, "tol": {"type": float, "default": Plan.tol},
     "gamma": {"type": float}, "grid": {"type": int, "default": 512},
     "relation": {"choices": ("st", "hr", "lr"), "default": "st"},
     "output": {"choices": ("json", "csv"), "default": "json"},
@@ -285,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        # the metadata records seed, samples and workers, taken or not
-        p.set_defaults(**{key: _FLAGS[key]["default"] for key in ("seed", "samples", "workers")})
+        # the plan reads these four and the metadata the first three, taken or not
+        p.set_defaults(**{key: _FLAGS[key]["default"]
+                          for key in ("seed", "samples", "workers", "tol")})
         for flag in (*flags.split(), "output"):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
@@ -294,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
-    if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0.0):
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise SpecError(f"--tol must be a finite number >= 0, got {args.tol}")
     if args.seed < 0:
         raise SpecError(f"--seed must be >= 0, got {args.seed}")
@@ -306,7 +303,8 @@ def run(argv, stream) -> int:
     if args.command != "verify" and args.spec is None:
         raise SpecError(f"{args.command} needs --spec <path>")
     doc = _load_doc(args.spec)
-    return _COMMANDS[args.command][0](args, doc, stream)
+    plan = Plan(samples=args.samples, seed=args.seed, workers=args.workers, tol=args.tol)
+    return _COMMANDS[args.command][0](args, doc, stream, plan)
 
 
 def main(argv=None) -> int:

@@ -570,7 +570,7 @@ def sample_uv(spec: CopulaSpec, n: int, seed: int, workers: int = 1):
     return u, v, sing, tie
 
 
-def copula_sample(spec: CopulaSpec, seed: int, n: int, workers: int = 1) -> dict[str, list]:
+def copula_sample(spec: CopulaSpec, n: int, seed: int, workers: int = 1) -> dict[str, list]:
     """Sampled columns as plain lists: u, v, component and structural_tie."""
     u, v, sing, tie = sample_uv(spec, n, seed, workers)
     return {"u": u.tolist(), "v": v.tolist(),

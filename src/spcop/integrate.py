@@ -39,7 +39,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float) -> float:
         raise SpecError(f"quadrature tolerance must be finite and > 0, got {tol}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise SpecError(f"quadrature bounds must be finite, got [{a}, {b}]")
-    if not (b > a):
+    if a > b:
+        raise SpecError(f"quadrature bounds must satisfy a <= b, got [{a}, {b}]")
+    if a == b:
         return 0.0
     x = np.array([[a, 0.5 * (a + b), b]])
     fx = np.asarray(f(x[0]), dtype=float)[None]

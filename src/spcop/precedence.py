@@ -21,13 +21,22 @@ from .rng import map_chunks
 __all__ = [
     "PrecedenceReport", "ClassVerdict", "SpLevelResult", "eta_exact", "eta_mc",
     "eta_quadrature", "eta_discrete_exact", "best_eta_report", "sp_level",
-    "classify", "eta_lower_bound", "ROUTES",
+    "classify", "eta_lower_bound", "Plan", "ROUTES",
 ]
 
 MC_MIN_SAMPLES = 10_000
 # n1 + n2 atoms; eta_discrete_exact's cdf points are at most 2*n1 + 4*min(n1, n2)
 DISCRETE_ATOM_BUDGET = 10_000
 _TIE_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Plan:
+    """One request's sample count, seed, worker count and tolerance, from cli.run to the routes."""
+    samples: int = 10 ** 6
+    seed: int = 0
+    workers: int = 1
+    tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,32 +203,31 @@ def eta_discrete_exact(spec: CopulaSpec, g1: DiscreteAtoms,
 # dispatch, levels, classes
 
 
-def _closed_form(spec, g1, g2, **_):
+def _closed_form(spec, g1, g2, plan):
     if (closed := eta_exact(spec, g1, g2)) is not None:
         return PrecedenceReport(*map(float, closed), "closed_form", 0.0, 0.0, 0, None)
 
 
 # Estimator routes in preference order, as (precondition, run): a precondition returns
-# the error that rules its route out or None, a run returns a report or None, and a
-# SizeLimit hands over to the next route. Runs look eta_* up when called (patchable).
+# the error that rules its route out or None, run(spec, g1, g2, plan) a report or None;
+# a SizeLimit hands over to the next route. Runs look eta_* up when called (patchable).
 ROUTES = (
     (lambda spec, g1, g2: None, _closed_form),
-    (_needs_atoms, lambda spec, g1, g2, **_: eta_discrete_exact(spec, g1, g2)),
+    (_needs_atoms, lambda spec, g1, g2, plan: eta_discrete_exact(spec, g1, g2)),
     (_needs_density,
-     lambda spec, g1, g2, tol, **_: eta_quadrature(spec, g1, g2, max(tol, 1e-10))),
+     lambda spec, g1, g2, plan: eta_quadrature(spec, g1, g2, max(plan.tol, 1e-10))),
     (lambda spec, g1, g2: UnknownMass("no closed form for this copula") if g1 is None else None,
-     lambda spec, g1, g2, n, seed, workers, **_: eta_mc(spec, g1, g2, n, seed, workers)),
+     lambda spec, g1, g2, plan: eta_mc(spec, g1, g2, plan.samples, plan.seed, plan.workers)),
 )
 
 
 def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
-                    g2: Optional[Distribution] = None, *, n: int = 10 ** 6,
-                    seed: int = 0, tol: float = 1e-9, workers: int = 1) -> PrecedenceReport:
+                    g2: Optional[Distribution] = None, plan: Plan = Plan()) -> PrecedenceReport:
     """The first report a route of ROUTES gives, or the error that ruled out the last."""
     for needs, run in ROUTES:
         if (reason := needs(spec, g1, g2)) is None:
             try:
-                if report := run(spec, g1, g2, n=n, seed=seed, tol=tol, workers=workers):
+                if report := run(spec, g1, g2, plan):
                     return report
             except SizeLimit as exc:
                 reason = exc
@@ -227,29 +235,28 @@ def best_eta_report(spec: CopulaSpec, g1: Optional[Distribution] = None,
 
 
 def sp_level(spec: CopulaSpec, g1: Distribution, g2: Distribution, gamma: float,
-             n: int = 10 ** 6, seed: int = 0, workers: int = 1,
-             tol: float = 1e-9) -> SpLevelResult:
+             plan: Plan = Plan()) -> SpLevelResult:
     """Does X1 stochastically precede X2 at level gamma, i.e. eta >= gamma?
 
     Monte Carlo verdicts inside the 3-sigma band of gamma raise Inconclusive
     instead of guessing; the exception carries the report. Verdicts of the
-    other routes allow eta to fall short of gamma by tol; classify's L_gamma
-    verdict is this one.
+    other routes allow eta to fall short of gamma by plan.tol; classify's
+    L_gamma verdict is this one.
     """
     if not (0.0 <= gamma <= 1.0):
         raise SpecError(f"gamma must lie in [0,1], got {gamma}")
-    report = best_eta_report(spec, g1, g2, n=n, seed=seed, tol=tol, workers=workers)
+    report = best_eta_report(spec, g1, g2, plan)
     if report.samples > 0 and abs(report.eta - gamma) < 3.0 * report.stderr_eta:
         raise Inconclusive(
             f"eta estimate {report.eta:.6f} within 3 stderr of gamma={gamma}", report)
-    slack = 0.0 if report.samples > 0 else tol
+    slack = 0.0 if report.samples > 0 else plan.tol
     return SpLevelResult(bool(report.eta >= gamma - slack), report)
 
 
-def classify(spec: CopulaSpec, gamma: float, tol: float = 1e-9) -> ClassVerdict:
+def classify(spec: CopulaSpec, gamma: float, tol: float = Plan.tol) -> ClassVerdict:
     """Membership verdicts for the level classes: eta >= gamma, which is
     sp_level's verdict on the copula alone, and eta == gamma within tol."""
-    level = sp_level(spec, None, None, gamma, tol=tol)
+    level = sp_level(spec, None, None, gamma, Plan(tol=tol))
     eta = level.report.eta
     return ClassVerdict(gamma, level.holds, abs(eta - gamma) <= tol, eta, float(tol))
 

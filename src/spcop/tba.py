@@ -8,14 +8,14 @@ case gamma is a valid floor exactly when the target st-precedes the prospect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .codec import number
 from .copula import CopulaSpec, copula_from_json
 from .dist import Distribution, check_order, dist_from_json
 from .errors import SpecError
-from .precedence import best_eta_report
+from .precedence import Plan, best_eta_report
 
 __all__ = ["Prospect", "RankingRow", "RankingTable", "rank_prospects"]
 
@@ -62,15 +62,14 @@ class RankingTable:
     warnings: tuple[str, ...] = ()
 
 
-def rank_prospects(target: Distribution, prospects, n: int = 10 ** 6,
-                   seed: int = 0, workers: int = 1) -> RankingTable:
+def rank_prospects(target: Distribution, prospects, plan: Plan = Plan()) -> RankingTable:
     """Rank prospects by P(T <= X), best first.
 
-    Copula prospects get the best-available eta; gamma_bound prospects
-    contribute their gamma as a lower bound, valid only when the target
-    st-precedes the prospect's marginal (otherwise the bound collapses to 0
-    and the row is flagged incomparable). Rows are sorted descending, ties
-    broken by name; mixing exact and bound rows is noted in the warnings, not fatal.
+    Copula prospect i gets the best-available eta under plan, seeded plan.seed + i;
+    gamma_bound prospects contribute their gamma as a lower bound, valid only when
+    the target st-precedes the prospect's marginal (otherwise the bound collapses to
+    0 and the row is flagged incomparable). Rows are sorted descending, ties broken
+    by name; mixing exact and bound rows is noted in the warnings, not fatal.
     """
     prospects = list(prospects)
     if not prospects:
@@ -79,7 +78,7 @@ def rank_prospects(target: Distribution, prospects, n: int = 10 ** 6,
     for i, p in enumerate(prospects):
         if p.copula is not None:
             report = best_eta_report(p.copula, target, p.marginal,
-                                     n=n, seed=seed + i, workers=workers)
+                                     replace(plan, seed=plan.seed + i))
             kind = "estimate" if report.samples > 0 else "exact"
             rows.append(RankingRow(p.name, report.eta, kind, report.stderr_eta))
         else:

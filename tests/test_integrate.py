@@ -17,7 +17,7 @@ from spcop.copula import (Gaussian, Independence, Mixture, OrderStatistics,
 from spcop.dist import Exponential, Normal, Uniform, UniformPower, dist_from_json
 from spcop.errors import SizeLimit, SpecError
 from spcop.integrate import MAX_EVALS, integrate_adaptive
-from spcop.precedence import best_eta_report, eta_quadrature
+from spcop.precedence import Plan, best_eta_report, eta_quadrature
 
 # repr(eta) and the number of integrand points, recorded with the depth-first
 # recursive integrator and a scalar integrand, one call per point
@@ -241,6 +241,20 @@ def test_bounds_must_be_finite(f, a, b):
     assert calls == []
 
 
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.0, -5e-324), (1e308, -1e308)])
+def test_reversed_bounds_are_refused(a, b):
+    # the integral of cos on [1, 0] is -sin 1; these bounds returned 0.0
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return np.cos(u)
+
+    with pytest.raises(SpecError, match=r"quadrature bounds must satisfy a <= b, got \["):
+        integrate_adaptive(counting, a, b, 1e-9)
+    assert calls == []
+
+
 def test_oscillatory_integrand_hits_the_point_cap():
     points = [0]
 
@@ -256,7 +270,7 @@ def test_oscillatory_integrand_hits_the_point_cap():
 def test_quadrature_over_the_cap_falls_back_to_monte_carlo(monkeypatch):
     monkeypatch.setattr(integrate, "MAX_EVALS", 64)
     report = best_eta_report(Gaussian(0.7), Uniform(0.0, 1.0), Exponential(2.0),
-                             n=20_000, seed=3)
+                             Plan(samples=20_000, seed=3))
     assert report.method == "monte_carlo"
     assert report.eta == pytest.approx(0.4109660194794851, abs=5.0 * report.stderr_eta)
 

@@ -4,6 +4,7 @@ discrete sums, level checks, class verdicts, and the cross-route identities."""
 import math
 import sys
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spcop.copula import (Comonotone, CopulaSpec, Countermonotone, Gaussian, Ind
 from spcop.dist import (DiscreteAtoms, Distribution, Exponential, Normal,
                         Uniform, UniformPower)
 from spcop.errors import Inconclusive, SizeLimit, SpecError, UnknownMass
-from spcop.precedence import (ClassVerdict, PrecedenceReport, best_eta_report,
+from spcop.precedence import (ClassVerdict, Plan, PrecedenceReport, best_eta_report,
                               classify, eta_discrete_exact, eta_exact,
                               eta_lower_bound, eta_mc, eta_quadrature,
                               sp_level)
@@ -426,12 +427,12 @@ class TestDispatchAndLevels:
 
     def test_method_preference_mc(self):
         r = best_eta_report(Shuffle(0.3), Uniform(0, 1), Uniform(0.2, 1.2),
-                            n=20_000, seed=43)
+                            Plan(samples=20_000, seed=43))
         assert r.method == "monte_carlo"
 
     def test_discrete_over_the_atom_budget_falls_back_to_monte_carlo(self):
         big = DiscreteAtoms(tuple((float(x), 1.0 / 6000) for x in range(6000)))
-        r = best_eta_report(Gaussian(0.5), big, big, n=20_000, seed=5)
+        r = best_eta_report(Gaussian(0.5), big, big, Plan(samples=20_000, seed=5))
         assert r.method == "monte_carlo" and r.samples == 20_000
         assert r == eta_mc(Gaussian(0.5), big, big, 20_000, seed=5)
 
@@ -443,9 +444,9 @@ class TestDispatchAndLevels:
     @pytest.mark.parametrize("tol", [1e-9, 0.0])
     def test_sp_level_agrees_with_classify(self, offset, tol):
         gamma = 0.3 + offset
-        r = sp_level(Shuffle(0.3), None, None, gamma, tol=tol)
+        r = sp_level(Shuffle(0.3), None, None, gamma, Plan(tol=tol))
         assert r.holds == classify(Shuffle(0.3), gamma, tol=tol).in_L_gamma
-        r = sp_level(Shuffle(0.3), Uniform(0, 1), Uniform(0, 1), gamma, tol=tol)
+        r = sp_level(Shuffle(0.3), Uniform(0, 1), Uniform(0, 1), gamma, Plan(tol=tol))
         assert r.holds == classify(Shuffle(0.3), gamma, tol=tol).in_L_gamma
 
     def test_sp_level_examples(self):
@@ -457,7 +458,7 @@ class TestDispatchAndLevels:
         # singular copula + unequal marginals forces the MC route; eta ~ 0.5
         with pytest.raises(Inconclusive):
             sp_level(Shuffle(0.5), Uniform(0, 1), Uniform(1e-7, 1.0 + 1e-7),
-                     gamma=0.5, n=20_000, seed=44)
+                     gamma=0.5, plan=Plan(samples=20_000, seed=44))
 
     def test_sp_level_domain(self):
         with pytest.raises(SpecError):
@@ -496,6 +497,30 @@ class TestDispatchAndLevels:
         assert r == {"bound": 0.3, "applicable": True}
         r = eta_lower_bound(Independence(), Normal(1, 1), Normal(0, 1))
         assert r == {"bound": 0.0, "applicable": False}
+
+
+class TestPlan:
+    def test_a_new_field_reaches_the_routes_with_no_signature_change(self, monkeypatch):
+        import spcop.precedence as precedence
+        from spcop.tba import Prospect, rank_prospects
+
+        @dataclass(frozen=True)
+        class Traced(Plan):
+            sink: str = "unset"
+
+        seen = []
+        needs, run = precedence.ROUTES[0]
+
+        def recording(spec, g1, g2, plan):
+            seen.append((type(plan), plan.sink, plan.seed))
+            return run(spec, g1, g2, plan)
+
+        monkeypatch.setattr(precedence, "ROUTES", ((needs, recording), *precedence.ROUTES[1:]))
+        plan, g = Traced(seed=4, sink="here"), Uniform(0, 1)
+        assert best_eta_report(Shuffle(0.3), g, g, plan).method == "closed_form"
+        assert sp_level(Shuffle(0.3), g, g, 0.2, plan).holds
+        rank_prospects(g, [Prospect(name, g, copula=Shuffle(0.3)) for name in "ab"], plan)
+        assert seen == [(Traced, "here", 4)] * 3 + [(Traced, "here", 5)]
 
 
 class TestReportInvariants:

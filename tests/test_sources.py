@@ -1,7 +1,9 @@
 """Source-level guards: no module of the package reads the environment, so
-an answer depends only on (command, input, seed, workers); and every error
-the package raises is one of the classes of spcop.errors, one per way a
-caller reacts, so every bad input is a SpecError."""
+an answer depends only on (command, input, seed, workers); every error the
+package raises is one of the classes of spcop.errors, one per way a caller
+reacts, so every bad input is a SpecError; and no function swallows keywords
+it does not read through a ** parameter, so a request's values travel in one
+Plan and a misspelt keyword fails."""
 
 import ast
 import builtins
@@ -47,6 +49,25 @@ def test_the_guard_sees_every_form():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     assert environment_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+def catch_all_parameters(tree):
+    """Line numbers of each def and lambda that declares a ** parameter."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  and node.args.kwarg is not None)
+
+
+def test_the_catch_all_guard_sees_every_form():
+    tree = ast.parse("def f(**kw): pass\ng = lambda x, **_: x\nclass C:\n"
+                     "    async def m(self, *a, k=1, **k2): pass\n"
+                     "def h(*args, k=1): return f(**{'k': k})\nd = dict(**{})\n")
+    assert catch_all_parameters(tree) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_takes_a_catch_all(path):
+    assert catch_all_parameters(ast.parse(path.read_text(), str(path))) == []
 
 
 def is_exception_class(name):

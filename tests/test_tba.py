@@ -9,6 +9,7 @@ import pytest
 from spcop.copula import Gaussian, Independence, OrderStatistics, Shuffle
 from spcop.dist import Exponential, Normal, Uniform, UniformPower
 from spcop.errors import SpecError
+from spcop.precedence import Plan, eta_mc
 from spcop.tba import Prospect, rank_prospects
 
 
@@ -132,9 +133,23 @@ class TestTableMechanics:
     def test_estimate_kind_for_mc_route(self):
         table = rank_prospects(Exponential(1.0), [
             Prospect("mc", Exponential(2.0), copula=Shuffle(0.5)),
-        ], n=20_000, seed=7)
+        ], Plan(samples=20_000, seed=7))
         assert table.rows[0].kind == "estimate"
         assert table.rows[0].stderr > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_copula_prospect_i_draws_from_seed_plus_i(self, workers):
+        # the same law twice, so only the seed tells the two rows apart
+        target, marginal, copula = Exponential(1.0), Exponential(2.0), Shuffle(0.5)
+        prospects = [Prospect(name, marginal, copula=copula) for name in ("first", "second")]
+        table = rank_prospects(target, prospects, Plan(samples=20_000, seed=11, workers=workers))
+        rows = {r.name: r for r in table.rows}
+        for i, p in enumerate(prospects):
+            expected = eta_mc(copula, target, marginal, 20_000, 11 + i, workers)
+            assert rows[p.name].kind == "estimate"
+            assert (rows[p.name].eta_or_bound, rows[p.name].stderr) == (
+                expected.eta, expected.stderr_eta)
+        assert rows["first"].eta_or_bound != rows["second"].eta_or_bound
 
     def test_empty_prospects_rejected(self):
         with pytest.raises(SpecError):
