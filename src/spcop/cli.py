@@ -27,13 +27,11 @@ from .dist import check_order, dist_from_json
 from .errors import Inconclusive, SpcopError, SpecError
 from .oracle import run_verification
 from .precedence import Plan, best_eta_report, classify, sp_level
-from .rng import resolve_workers
 from .tba import Prospect, RankingRow, rank_prospects
 
 __all__ = ["main", "run"]
 
 CURVE_VALUE_BUDGET = 10_000
-MAX_SAMPLES = 10 ** 7
 MAX_GRID = 2 ** 16
 
 
@@ -246,8 +244,8 @@ def _cmd_curve(args, doc, stream, plan):
 
 _FLAGS = {  # every flag once, with its argparse keywords
     "spec": {"help": "path to the JSON input document"},
-    "samples": {"type": int, "default": Plan.samples}, "seed": {"type": int, "default": Plan.seed},
-    "workers": {"type": int, "default": Plan.workers}, "tol": {"type": float, "default": Plan.tol},
+    "samples": {"type": int}, "seed": {"type": int},  # defaults from Plan
+    "workers": {"type": int}, "tol": {"type": float},
     "gamma": {"type": float}, "grid": {"type": int, "default": 512},
     "relation": {"choices": ("st", "hr", "lr"), "default": "st"},
     "output": {"choices": ("json", "csv"), "default": "json"},
@@ -279,11 +277,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spcop",
         description="Stochastic precedence and tie mass for bivariate copulas")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = asdict(Plan())  # set on every command, flag taken or not: run builds the plan
     for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        # the plan reads these four and the metadata the first three, taken or not
-        p.set_defaults(**{key: _FLAGS[key]["default"]
-                          for key in ("seed", "samples", "workers", "tol")})
+        p.set_defaults(**defaults)
         for flag in (*flags.split(), "output"):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
@@ -291,20 +288,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv, stream) -> int:
     args = _build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise SpecError(f"--tol must be a finite number >= 0, got {args.tol}")
-    if args.seed < 0:
-        raise SpecError(f"--seed must be >= 0, got {args.seed}")
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        raise SpecError(f"--samples must lie in [1, {MAX_SAMPLES}], got {args.samples}")
+    plan = Plan(**{f.name: getattr(args, f.name) for f in fields(Plan)})
     if "grid" in args and args.grid > MAX_GRID:
         raise SpecError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
-    args.workers = resolve_workers(args.workers)
     if args.command != "verify" and args.spec is None:
         raise SpecError(f"{args.command} needs --spec <path>")
-    doc = _load_doc(args.spec)
-    plan = Plan(samples=args.samples, seed=args.seed, workers=args.workers, tol=args.tol)
-    return _COMMANDS[args.command][0](args, doc, stream, plan)
+    return _COMMANDS[args.command][0](args, _load_doc(args.spec), stream, plan)
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -16,15 +17,16 @@ from .copula import CopulaSpec, cell_masses, sample_uv  # noqa: F401
 from .dist import DiscreteAtoms, Distribution, check_order
 from .errors import Inconclusive, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
-from .rng import map_chunks
+from .rng import map_chunks, resolve_workers
 
 __all__ = [
     "PrecedenceReport", "ClassVerdict", "SpLevelResult", "eta_exact", "eta_mc",
     "eta_quadrature", "eta_discrete_exact", "best_eta_report", "sp_level",
-    "classify", "eta_lower_bound", "Plan", "ROUTES",
+    "classify", "eta_lower_bound", "Plan", "ROUTES", "MAX_SAMPLES",
 ]
 
 MC_MIN_SAMPLES = 10_000
+MAX_SAMPLES = 10 ** 7
 # n1 + n2 atoms; eta_discrete_exact's cdf points are at most 2*n1 + 4*min(n1, n2)
 DISCRETE_ATOM_BUDGET = 10_000
 _TIE_RTOL = 1e-9
@@ -32,11 +34,20 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Plan:
-    """One request's sample count, seed, worker count and tolerance, from cli.run to the routes."""
+    """One request's samples, seed, workers and tol, checked here; the CLI's flags are its fields."""
     samples: int = 10 ** 6
     seed: int = 0
     workers: int = 1
     tol: float = 1e-9
+
+    def __post_init__(self):
+        if not (isinstance(self.tol, Real) and math.isfinite(self.tol) and self.tol >= 0.0):
+            raise SpecError(f"--tol must be a finite number >= 0, got {self.tol!r}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise SpecError(f"--seed must be >= 0, got {self.seed!r}")
+        if not (isinstance(self.samples, Integral) and 1 <= self.samples <= MAX_SAMPLES):
+            raise SpecError(f"--samples must lie in [1, {MAX_SAMPLES}], got {self.samples!r}")
+        resolve_workers(self.workers)
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ def eta_exact(spec: CopulaSpec, g1: Optional[Distribution] = None,
 
 
 def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
-           seed: int, workers: int = 1) -> PrecedenceReport:
+           seed: int, workers: int = Plan.workers) -> PrecedenceReport:
     """Sample the copula, push through the marginal quantiles, count.
 
     Ties are marginal-aware: bitwise equality of the mapped values (equal
@@ -123,7 +134,7 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
         scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
         ties = (x1 == x2) | (struct_tie & (np.abs(x1 - x2) <= _TIE_RTOL * scale))
         le = (x1 <= x2) | ties
-        return np.count_nonzero(le), np.count_nonzero(ties)
+        return int(np.count_nonzero(le)), int(np.count_nonzero(ties))
 
     counts = map_chunks(count, n, seed, workers)
     # exact integer counts over n: the bits of np.mean over the whole bool array
@@ -148,7 +159,7 @@ def _needs_density(spec, g1, g2):
 
 
 def eta_quadrature(spec: CopulaSpec, g1: Distribution, g2: Distribution,
-                   tol: float = 1e-8) -> PrecedenceReport:
+                   tol: float = Plan.tol) -> PrecedenceReport:
     """Integrate the copula density over {(u,v): G1^-1(u) <= G2^-1(v)}.
 
     The region is v >= h(u) with h = G2 o G1^-1, so the inner integral is

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from numbers import Integral
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def clip_open(u: np.ndarray, out=None) -> np.ndarray:
 
 
 def resolve_workers(workers=None) -> int:
-    workers = 1 if workers is None else int(workers)
-    if not 1 <= workers <= MAX_WORKERS:
-        raise SpecError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    workers = 1 if workers is None else workers
+    if not (isinstance(workers, Integral) and 1 <= workers <= MAX_WORKERS):
+        raise SpecError(f"workers must lie in [1, {MAX_WORKERS}], got {workers!r}")
     return workers

@@ -15,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from spcop import cli, oracle, rng
 from spcop.cli import CURVE_VALUE_BUDGET, _build_parser, _emit_table, _metadata, main, run
+from spcop.copula import copula_from_json
+from spcop.dist import dist_from_json
 from spcop.errors import SpcopError, SpecError
+from spcop.precedence import Plan, best_eta_report
 from spcop.rng import MAX_WORKERS, resolve_workers
 from spcop.special import _BLOCK
 
@@ -353,6 +356,15 @@ BLOCK_SAMPLE_ARGS = ("--samples", "140000", "--seed", "11", "--workers", "1", "-
 VERIFY_BLOCK_SAMPLES = 200_003
 
 
+@pytest.mark.parametrize("route", list(GOLDEN_ETA))
+def test_every_route_reports_python_floats(route):
+    doc = GOLDEN_ETA[route]
+    report = best_eta_report(copula_from_json(doc["copula"]), dist_from_json(doc["g1"]),
+                             dist_from_json(doc["g2"]), Plan(samples=20_000))
+    assert report.method == route
+    assert type(report.eta) is float and type(report.xi) is float
+
+
 class TestGoldenOutput:
     """sha256 of stdout for the table-shaped outputs, pinned to catch any byte change."""
 
@@ -617,6 +629,29 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option}")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["eta", "--tol=nan"], "--tol must be a finite number >= 0, got nan"),
+        (["eta", "--tol=inf"], "--tol must be a finite number >= 0, got inf"),
+        (["classify", "--tol=nan"], "--tol must be a finite number >= 0, got nan"),
+        (["classify", "--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
+        (["eta", "--seed=-1"], "--seed must be >= 0, got -1"),
+        (["sample", "--seed=-1"], "--seed must be >= 0, got -1"),
+        (["verify", "--samples=-5"], "--samples must lie in [1, 10000000], got -5"),
+        (["verify", "--samples=0"], "--samples must lie in [1, 10000000], got 0"),
+        (["sample", "--samples=1000000000000"],
+         "--samples must lie in [1, 10000000], got 1000000000000"),
+        (["eta", "--samples=10000001"], "--samples must lie in [1, 10000000], got 10000001"),
+        (["sample", "--workers=0"], "workers must lie in [1, 1024], got 0"),
+        (["sample", "--workers=-5"], "workers must lie in [1, 1024], got -5"),
+        (["sample", "--workers=3000"], "workers must lie in [1, 1024], got 3000"),
+        (["order", "--grid=70000"], "--grid must be at most 65536, got 70000"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_bad_flags_keep_their_error_line(self, tmp_path, capsys, argv, line):
+        # a document every command reads without error; the flag is the only fault
+        spec = write_doc(tmp_path, "s.json", GOLDEN_ETA["monte_carlo"])
+        assert main([*argv, "--spec", spec]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     @pytest.mark.parametrize("command", ["sample", "eta"])
     def test_negative_seed_is_exit_1(self, tmp_path, capsys, command):

@@ -4,7 +4,7 @@ discrete sums, level checks, class verdicts, and the cross-route identities."""
 import math
 import sys
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from spcop.precedence import (ClassVerdict, Plan, PrecedenceReport, best_eta_rep
                               classify, eta_discrete_exact, eta_exact,
                               eta_lower_bound, eta_mc, eta_quadrature,
                               sp_level)
+from spcop.rng import resolve_workers
 
 from test_copula import JSON_EXAMPLES, REGISTRY
 
@@ -500,6 +501,40 @@ class TestDispatchAndLevels:
 
 
 class TestPlan:
+    # the messages are the CLI's error lines without their "error: " prefix
+    @pytest.mark.parametrize("fault,message", [
+        (lambda: Plan(seed=-1), "--seed must be >= 0, got -1"),
+        (lambda: Plan(samples=0), "--samples must lie in [1, 10000000], got 0"),
+        (lambda: Plan(samples=10 ** 7 + 1), "--samples must lie in [1, 10000000], got 10000001"),
+        (lambda: Plan(samples=20000.5), "--samples must lie in [1, 10000000], got 20000.5"),
+        (lambda: Plan(workers=0), "workers must lie in [1, 1024], got 0"),
+        (lambda: Plan(workers="3"), "workers must lie in [1, 1024], got '3'"),
+        (lambda: Plan(tol=math.nan), "--tol must be a finite number >= 0, got nan"),
+        (lambda: Plan(tol=-1e-9), "--tol must be a finite number >= 0, got -1e-09"),
+        (lambda: replace(Plan(), seed=-1), "--seed must be >= 0, got -1"),
+        (lambda: classify(Shuffle(0.3), 0.3, tol=math.nan),
+         "--tol must be a finite number >= 0, got nan"),
+        (lambda: classify(Shuffle(0.3), 0.3, tol=-1.0),
+         "--tol must be a finite number >= 0, got -1.0"),
+    ], ids=["seed-negative", "samples-zero", "samples-above-max", "samples-fraction",
+            "workers-zero", "workers-string", "tol-nan", "tol-negative", "replace-seed",
+            "classify-tol-nan", "classify-tol-negative"])
+    def test_bad_values_are_rejected_by_the_plan(self, fault, message):
+        with pytest.raises(SpecError) as info:
+            fault()
+        assert type(info.value) is SpecError and str(info.value) == message
+        assert "__post_init__" in [entry.name for entry in info.traceback]
+
+    @pytest.mark.parametrize("workers", [2.7, "3"])
+    def test_resolve_workers_takes_only_integers(self, workers):
+        with pytest.raises(SpecError, match=f"got {workers!r}$"):
+            resolve_workers(workers)
+
+    def test_numpy_integers_are_accepted(self):
+        plan = Plan(samples=np.int64(20_000), seed=np.int64(3), workers=np.int32(2))
+        report = best_eta_report(Shuffle(0.3), Uniform(0, 1), Uniform(0.2, 1.2), plan)
+        assert report.samples == 20_000
+
     def test_a_new_field_reaches_the_routes_with_no_signature_change(self, monkeypatch):
         import spcop.precedence as precedence
         from spcop.tba import Prospect, rank_prospects

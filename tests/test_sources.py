@@ -1,9 +1,10 @@
 """Source-level guards: no module of the package reads the environment, so
 an answer depends only on (command, input, seed, workers); every error the
 package raises is one of the classes of spcop.errors, one per way a caller
-reacts, so every bad input is a SpecError; and no function swallows keywords
+reacts, so every bad input is a SpecError; no function swallows keywords
 it does not read through a ** parameter, so a request's values travel in one
-Plan and a misspelt keyword fails."""
+Plan and a misspelt keyword fails; and the modules that build or read a Plan
+take each per-request default from it, not from a literal of their own."""
 
 import ast
 import builtins
@@ -25,6 +26,9 @@ ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 ERROR_CLASSES = {"SpcopError", "SpecError", "UnknownMass", "SizeLimit", "Inconclusive"}
 # the codec's number and array readers raise these; decode, cli and tba wrap them
 CODEC_INTERNAL = {"TypeError", "ValueError"}
+# copula, rng and oracle sit below Plan, and oracle stays independent of it
+PLAN_MODULES = ("precedence.py", "tba.py", "cli.py")
+PER_REQUEST = {"samples", "n", "seed", "workers", "tol"}
 
 
 def environment_reads(tree):
@@ -68,6 +72,37 @@ def test_the_catch_all_guard_sees_every_form():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_takes_a_catch_all(path):
     assert catch_all_parameters(ast.parse(path.read_text(), str(path))) == []
+
+
+def literal_defaults(tree):
+    """(line, name) of each def or lambda parameter named after a per-request value
+    whose default is a literal: an expression that reads no name or attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+            found += [(node.lineno, arg.arg) for arg, default in pairs
+                      if arg.arg in PER_REQUEST and default is not None and not any(
+                          isinstance(sub, (ast.Name, ast.Attribute)) for sub in ast.walk(default))]
+    return sorted(found)
+
+
+def test_the_literal_default_guard_sees_every_form():
+    tree = ast.parse("def f(a, n=10, *, seed=0, tol=Plan.tol, workers): pass\n"
+                     "g = lambda samples=10 ** 6, workers=-1: 0\n"
+                     "def h(x, workers=W, gamma=0.5, *, k=1): pass\n"
+                     "async def m(tol=1e-8, /, seed=None): pass\n")
+    assert literal_defaults(tree) == [(1, "n"), (1, "seed"), (2, "samples"), (2, "workers"),
+                                      (4, "seed"), (4, "tol")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in PLAN_MODULES],
+                         ids=lambda p: p.name)
+def test_per_request_defaults_come_from_the_plan(path):
+    assert literal_defaults(ast.parse(path.read_text(), str(path))) == []
 
 
 def is_exception_class(name):
