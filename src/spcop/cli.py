@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 malformed command line or schema/domain violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -272,6 +273,9 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+# built once: it takes about 1.2 ms, nearly a whole classify request, and
+# parse_args leaves it as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spcop",

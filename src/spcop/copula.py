@@ -560,8 +560,6 @@ def cell_masses(cc):
 
 def sample_uv(spec: CopulaSpec, n: int, seed: int, workers: int = 1):
     """Array-form sampler: (u, v, singular_mask, tie_mask), worker-chunked."""
-    if n < 1:
-        raise SpecError("sample count must be >= 1")
     parts = map_chunks(spec.sample_arrays, n, seed, workers)
     u = np.concatenate([p[0] for p in parts])
     v = np.concatenate([p[1] for p in parts])

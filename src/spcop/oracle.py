@@ -17,7 +17,7 @@ from .copula import (CopulaSpec, Independence, MarshallOlkinConnecting,
                      OrderStatistics, Shuffle, sample_uv)
 from .dist import Distribution, Uniform
 from .errors import SpecError
-from .rng import make_stream, open_uniform, run_all
+from .rng import BLOCK, make_stream, open_uniform, run_all
 
 __all__ = [
     "LoadSharingModel", "load_sharing_sample", "load_sharing_survival",
@@ -32,7 +32,6 @@ _CHECK_GRID = 32  # points of the load-sharing and order-statistics curve checks
 MIN_SAMPLES = 10_000
 # (alpha1, alpha2) of the survival-form eta audit: one per branch, and the diagonal
 _AUDIT_PAIRS = ((0.4, 0.2), (0.2, 0.4), (0.3, 0.3))
-_BLOCK = 65_536  # points per block of the sampled checks' counts and draws
 
 
 def _tol(var, n):
@@ -42,7 +41,7 @@ def _tol(var, n):
 
 
 def _blocks(n):
-    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+    return (slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
 
 
 def _share(test, x, y):

@@ -17,7 +17,7 @@ from .copula import CopulaSpec, cell_masses, sample_uv  # noqa: F401
 from .dist import DiscreteAtoms, Distribution, check_order
 from .errors import Inconclusive, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
-from .rng import map_chunks, resolve_workers
+from .rng import BLOCK, MAX_SAMPLES, map_chunks, resolve_workers, run_all
 
 __all__ = [
     "PrecedenceReport", "ClassVerdict", "SpLevelResult", "eta_exact", "eta_mc",
@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 MC_MIN_SAMPLES = 10_000
-MAX_SAMPLES = 10 ** 7
 # n1 + n2 atoms; eta_discrete_exact's cdf points are at most 2*n1 + 4*min(n1, n2)
 DISCRETE_ATOM_BUDGET = 10_000
 _TIE_RTOL = 1e-9
@@ -124,9 +123,7 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
     if n < MC_MIN_SAMPLES:
         raise SpecError(f"Monte Carlo needs n >= {MC_MIN_SAMPLES}, got {n}")
 
-    def count(stream, m):
-        # one chunk sampled, mapped and counted; only its two counts outlive it
-        u, v, _sing, struct_tie = spec.sample_arrays(stream, m)
+    def count_block(u, v, struct_tie):
         x1 = g1.quantile(u)
         x2 = g2.quantile(v)
         if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
@@ -135,6 +132,16 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
         ties = (x1 == x2) | (struct_tie & (np.abs(x1 - x2) <= _TIE_RTOL * scale))
         le = (x1 <= x2) | ties
         return int(np.count_nonzero(le)), int(np.count_nonzero(ties))
+
+    def count(stream, m):
+        # the chunk is sampled whole, so its draws do not move; mapping and
+        # counting are pointwise, so its BLOCK-point blocks run through run_all
+        # and only their two counts outlive them
+        u, v, sing, struct_tie = spec.sample_arrays(stream, m)
+        del sing
+        counts = run_all([(count_block, u[k:k + BLOCK], v[k:k + BLOCK], struct_tie[k:k + BLOCK])
+                          for k in range(0, m, BLOCK)])
+        return sum(c for c, _ in counts), sum(t for _, t in counts)
 
     counts = map_chunks(count, n, seed, workers)
     # exact integer counts over n: the bits of np.mean over the whole bool array

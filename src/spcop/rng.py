@@ -3,14 +3,17 @@
 Philox is counter-based, so a (seed, worker) pair pins the stream exactly;
 batch work is split into per-worker chunks whose layout depends only on
 (n, workers), making every estimate a pure function of (seed, workers).
-run_all runs independent calls, such as map_chunks' chunks, on up to one
-thread per usable CPU; the thread count never changes a result.
+run_all runs independent calls, such as map_chunks' chunks or the BLOCK-point
+slices of a large array, on up to one thread per usable CPU; a run_all made
+on a pool thread runs its calls inline, so there is one level of threads.
+The thread count never changes a result.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from numbers import Integral
 
 import numpy as np
@@ -18,14 +21,20 @@ import numpy as np
 from .errors import SpecError
 
 __all__ = ["make_stream", "worker_streams", "chunk_sizes", "open_uniform", "resolve_workers",
-           "pool_size", "run_all", "map_chunks", "MAX_WORKERS"]
+           "pool_size", "run_all", "map_chunks", "BLOCK", "MAX_SAMPLES", "MAX_WORKERS"]
 
 # each worker is one Philox stream and one chunk, so the count bounds the work
 MAX_WORKERS = 1024
+MAX_SAMPLES = 10 ** 7  # the most points map_chunks splits into chunks
+# points per block of pointwise work on large arrays: 512 KiB float64 slices,
+# whose temporaries stay near a 2 MiB L2; 16k, 32k and 128k points were slower
+# on the mc_eta benchmark's Gaussian requests
+BLOCK = 65_536
 
 _M_ARENA_MAX = -8  # glibc mallopt parameter: the most malloc arenas a process makes
 _TINY = 2.0 ** -54
 _BELOW_ONE = 1.0 - 2.0 ** -53
+_pool_thread = threading.local()  # .active is set on every thread a pool starts
 
 
 def make_stream(seed: int) -> np.random.Generator:
@@ -48,29 +57,40 @@ def pool_size(workers: int) -> int:
     return max(1, min(workers, cpus or 1))
 
 
+def _enter_pool():
+    _pool_thread.active = True
+
+
 def run_all(calls) -> list:
     """[f(*args) for f, *args in calls], in call order.
 
     The calls run on pool_size(len(calls)) threads; numpy releases the
-    interpreter lock inside its array loops, so they overlap. The first
-    error in call order is raised; on threads, once every call has finished.
+    interpreter lock inside its array loops, so they overlap. Called on a
+    pool thread, it runs them inline: a pool never runs inside a pool. The
+    first error in call order is raised; on threads, once every call has
+    finished.
     """
-    threads = pool_size(len(calls))
+    threads = 1 if getattr(_pool_thread, "active", False) else pool_size(len(calls))
     if threads == 1:
         return [f(*args) for f, *args in calls]
     # 6-8 ms of import on a 2-core Xeon, paid only when calls run on threads
     from concurrent.futures import ThreadPoolExecutor
 
     _share_malloc_arena()
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(threads, initializer=_enter_pool) as pool:
         futures = [pool.submit(*call) for call in calls]
     return [f.result() for f in futures]
 
 
 def map_chunks(fn, n: int, seed: int, workers=None) -> list:
     """[fn(stream, m) for each worker's stream and chunk size m > 0], in chunk
-    order, through run_all."""
+    order, through run_all; every sampled path enters here, so the seed and
+    the point count n are checked here."""
     workers = resolve_workers(workers)
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise SpecError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (isinstance(n, Integral) and 1 <= n <= MAX_SAMPLES):
+        raise SpecError(f"sample count must be an integer in [1, {MAX_SAMPLES}], got {n!r}")
     return run_all([(fn, stream, m) for stream, m in zip(worker_streams(seed, workers),
                                                          chunk_sizes(n, workers)) if m > 0])
 
@@ -82,10 +102,10 @@ def _share_malloc_arena():
     pages its call freed; the next request, on another thread, cannot reuse
     them: on the mc_eta benchmark (2-core Xeon, glibc 2.36, normal kernels in
     65,536-point blocks) that raised peak RSS from 106-109 to 165 MB. Every
-    run_all on threads sets the cap, so it covers both the Monte Carlo chunks
-    and verify's sampled check groups. Big numpy buffers are allocated a few
-    times per call, with the interpreter lock held, so threads hardly contend
-    for the shared arena.
+    run_all on threads sets the cap, so it covers the Monte Carlo chunks and
+    blocks, the normal kernels' blocks and verify's sampled check groups. Big
+    numpy buffers are allocated a few times per call, with the interpreter
+    lock held, so threads hardly contend for the shared arena.
     """
     try:
         ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)

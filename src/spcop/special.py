@@ -1,9 +1,11 @@
 """High-precision normal cdf / quantile kernels on float arrays: each returns
 an array of its input's shape, NaN where the input is NaN. `dist.elementwise`
 converts scalars and `Distribution.quantile` checks probabilities. An input
-longer than `_BLOCK` points runs through the kernel in `_BLOCK`-point slices,
-so its temporaries stay cache-sized; every kernel is pointwise, so the slices
-give the same bits as one pass.
+longer than `rng.BLOCK` points runs through the kernel in `BLOCK`-point
+slices, so its temporaries stay cache-sized; the slices go through
+`rng.run_all`, so they share the pool's threads when the caller is not on a
+pool thread itself, and each is written into its part of one output array.
+Every kernel is pointwise, so the slices give the same bits as one pass.
 
 The cdf goes through a rational-approximation erfc (Cody's split: small-|x|
 series-like rational, mid-range rational, large-|x| continued-fraction-style
@@ -19,12 +21,9 @@ import functools
 
 import numpy as np
 
-__all__ = ["erfc", "normal_cdf", "normal_quantile", "normal_pdf"]
+from .rng import BLOCK, run_all
 
-# points per kernel pass on large inputs: 512 KiB float64 slices, whose
-# temporaries stay near a 2 MiB L2; 16k, 32k and 128k points were slower on
-# the mc_eta benchmark's Gaussian requests
-_BLOCK = 65536
+__all__ = ["erfc", "normal_cdf", "normal_quantile", "normal_pdf"]
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -133,16 +132,20 @@ def erfc(x):
 
 
 def _blocked(kernel):
-    """kernel(x, mean, sd) on consecutive _BLOCK-point slices of a larger x,
-    written into one float64 output of x's shape; mean and sd are scalars."""
+    """kernel(x, mean, sd) on consecutive BLOCK-point slices of a larger x,
+    through run_all, written into one float64 output of x's shape; mean and
+    sd are scalars."""
     @functools.wraps(kernel)
     def run(x, mean=0.0, sd=1.0):
-        if np.size(x) <= _BLOCK:
+        if np.size(x) <= BLOCK:
             return kernel(x, mean, sd)
         flat = np.ravel(x)
         out = np.empty(flat.size)
-        for k in range(0, flat.size, _BLOCK):
-            out[k:k + _BLOCK] = kernel(flat[k:k + _BLOCK], mean, sd)
+
+        def fill(k):
+            out[k:k + BLOCK] = kernel(flat[k:k + BLOCK], mean, sd)
+
+        run_all([(fill, k) for k in range(0, flat.size, BLOCK)])
         return out.reshape(np.shape(x))
     return run
 

@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spcop import cli, oracle, rng
+from spcop import cli, rng
 from spcop.cli import CURVE_VALUE_BUDGET, _build_parser, _emit_table, _metadata, main, run
 from spcop.copula import copula_from_json
 from spcop.dist import dist_from_json
 from spcop.errors import SpcopError, SpecError
 from spcop.precedence import Plan, best_eta_report
 from spcop.rng import MAX_WORKERS, resolve_workers
-from spcop.special import _BLOCK
+from spcop.rng import BLOCK
 
 
 def write_doc(tmp_path, name, obj):
@@ -347,7 +347,7 @@ GOLDEN_ETA = {
                     "g2": {"kind": "uniform", "a": 0.2, "b": 1.2}},
 }
 ETA_ARGS = ("--samples", "20000", "--seed", "7")
-# more samples than two special._BLOCK slices: the normal kernels cross seams
+# more samples than two rng.BLOCK slices: the normal kernels cross seams
 GAUSS_MIX = {"copula": {"node": "mixture", "weights": [0.7, 0.3], "components": [
     {"node": "gaussian", "rho": 0.6}, {"node": "shuffle", "gamma": 0.4}]},
     "g1": {"kind": "normal", "mean": 0, "sd": 1}, "g2": {"kind": "normal", "mean": 0.25, "sd": 1.5}}
@@ -426,7 +426,7 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_block_cases_cross_seams(self):
-        assert int(BLOCK_SAMPLE_ARGS[1]) > 2 * _BLOCK and int(BLOCK_ETA_ARGS[1]) // 2 > _BLOCK
+        assert int(BLOCK_SAMPLE_ARGS[1]) > 2 * BLOCK and int(BLOCK_ETA_ARGS[1]) // 2 > BLOCK
 
     def test_the_environment_leaves_the_chunk_layout_alone(self, tmp_path, monkeypatch):
         # --workers alone sets the chunk layout, whatever the environment holds
@@ -465,7 +465,7 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_verify_block_case_crosses_seams(self):
-        assert VERIFY_BLOCK_SAMPLES > 3 * oracle._BLOCK and VERIFY_BLOCK_SAMPLES % oracle._BLOCK
+        assert VERIFY_BLOCK_SAMPLES > 3 * BLOCK and VERIFY_BLOCK_SAMPLES % BLOCK
 
 
 def row_writer(stream, args, columns, method):

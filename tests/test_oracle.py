@@ -12,7 +12,7 @@ from spcop.copula import (Independence, MarshallOlkinConnecting,
                           OrderStatistics, Shuffle, sample_uv)
 from spcop.dist import Exponential, Normal, Uniform
 from spcop.errors import SpecError
-from spcop.oracle import (_BLOCK, _CHECK_GRID, LoadSharingModel, _counts_le,
+from spcop.oracle import (_CHECK_GRID, LoadSharingModel, _counts_le,
                           _empirical_copula, _share, grid_eta_oracle,
                           load_sharing_checks, load_sharing_sample,
                           load_sharing_survival, mo_checks,
@@ -20,6 +20,7 @@ from spcop.oracle import (_BLOCK, _CHECK_GRID, LoadSharingModel, _counts_le,
                           order_stats_checks, order_stats_triple_sample,
                           run_verification)
 from spcop.precedence import eta_mc
+from spcop.rng import BLOCK
 
 N = 400_000
 
@@ -87,7 +88,7 @@ class TestOrderStatsTriple:
     def test_blocks_keep_the_bits(self):
         # a non-uniform base over 3 blocks and a ragged tail; the digest is the
         # one the sampler gave when it drew all 5 n uniforms in one call
-        t, xp, xpp = order_stats_triple_sample(3 * _BLOCK + 17, 29, base=Normal(2.0, 3.0))
+        t, xp, xpp = order_stats_triple_sample(3 * BLOCK + 17, 29, base=Normal(2.0, 3.0))
         digest = hashlib.sha256(b"".join(a.tobytes() for a in (t, xp, xpp))).hexdigest()
         assert digest == "73d3b6e3fb8e03fb0910ba122d7c0e2f90f177154be6e2829e5abca263cc3ef4"
 
@@ -156,7 +157,7 @@ class TestEmpiricalCopulaByCounting:
         assert np.array_equal(counted.view(np.int64), swept.view(np.int64))
 
     def test_share_equals_mean_bit_for_bit(self):
-        x1, x2, _ = mo_construction_sample(0.4, 0.2, 3 * _BLOCK + 17, 77)
+        x1, x2, _ = mo_construction_sample(0.4, 0.2, 3 * BLOCK + 17, 77)
         for test in (np.less_equal, np.less, np.equal):
             assert np.float64(_share(test, x1, x2)).view(np.int64) == np.mean(
                 test(x1, x2)).view(np.int64)

@@ -21,7 +21,8 @@ from spcop.precedence import (ClassVerdict, Plan, PrecedenceReport, best_eta_rep
                               classify, eta_discrete_exact, eta_exact,
                               eta_lower_bound, eta_mc, eta_quadrature,
                               sp_level)
-from spcop.rng import resolve_workers
+from spcop import rng
+from spcop.rng import BLOCK, resolve_workers
 
 from test_copula import JSON_EXAMPLES, REGISTRY
 
@@ -251,6 +252,45 @@ class TestMonteCarlo:
             r = eta_mc(spec, g1, g2, 30_001, 12, workers)
             assert r.eta == float(np.mean((x1 <= x2) | ties))
             assert r.xi == float(np.mean(ties))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [10_000, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_block_counts_match_a_one_pass_count(self, monkeypatch, n, workers, threads):
+        # a chunk maps and counts in BLOCK-point blocks; the reference maps
+        # and counts the same draws in one pass, as eta_mc did before blocks
+        monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+        spec = Mixture((Gaussian(0.6), Comonotone(), Shuffle(0.3)), (0.5, 0.2, 0.3))
+        g1, g2 = Normal(0.0, 1.0), Normal(0.0, 1.0)
+        le = ties = 0
+        for stream, m in zip(rng.worker_streams(21, workers), rng.chunk_sizes(n, workers)):
+            u, v, _, tie = spec.sample_arrays(stream, m)
+            x1, x2 = g1.quantile(u), g2.quantile(v)
+            scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
+            t = (x1 == x2) | (tie & (np.abs(x1 - x2) <= 1e-9 * scale))
+            le += int(np.count_nonzero((x1 <= x2) | t))
+            ties += int(np.count_nonzero(t))
+        r = eta_mc(spec, g1, g2, n, 21, workers)
+        assert 0 < ties < le < n
+        assert (r.eta, r.xi) == (le / n, ties / n)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_marginal_saturated_in_a_late_block_is_refused(self, monkeypatch, workers, threads):
+        monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+        n = 3 * BLOCK + 17
+        # the last draw of the last chunk lies in its ragged last block
+        last = sample_uv(Independence(), n, 22, workers)[0][-1]
+
+        @dataclass(frozen=True)
+        class SaturatesAtLast(Uniform):
+            def _quantile(self, p):
+                return np.where(p == last, np.inf, super()._quantile(p))
+
+        g1 = SaturatesAtLast(0.0, 1.0)
+        assert np.isinf(g1.quantile(last)) and np.isfinite(g1.quantile(np.nextafter(last, 0.0)))
+        with pytest.raises(SpecError, match="non-finite quantile draw"):
+            eta_mc(Independence(), g1, Uniform(0.0, 1.0), n, 22, workers)
 
     def test_seed_determinism(self):
         a = eta_mc(Gaussian(0.3), Normal(0, 1), Normal(1, 1), 50_000, seed=38)

@@ -1,4 +1,5 @@
-"""The worker-chunk runner: chunk order, pool size, errors and thread lifetime."""
+"""The worker-chunk runner: chunk order, pool size, errors, thread lifetime,
+one level of threads, and the checks every sampled path passes."""
 
 import os
 import threading
@@ -6,9 +7,13 @@ import time
 
 import pytest
 
-from spcop import rng
+from spcop import precedence, rng
+from spcop.copula import Independence, Shuffle, copula_sample, sample_uv
+from spcop.dist import Uniform
 from spcop.errors import SpecError
-from spcop.rng import MAX_WORKERS, chunk_sizes, map_chunks, pool_size, run_all, worker_streams
+from spcop.precedence import eta_mc
+from spcop.rng import (MAX_SAMPLES, MAX_WORKERS, chunk_sizes, map_chunks, pool_size, run_all,
+                       worker_streams)
 
 CPUS = len(os.sched_getaffinity(0))
 
@@ -44,6 +49,34 @@ def test_no_thread_outlives_a_call_and_none_beyond_the_pool():
 
     assert map_chunks(count_threads, 40_000, 1, 4) == [10_000] * 4
     assert max(seen) <= before + pool_size(4)
+    assert threading.active_count() == before
+
+
+def test_a_run_all_on_a_pool_thread_runs_its_calls_inline(monkeypatch):
+    monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, 2))
+    before = threading.active_count()
+    seen = []
+
+    def inner(k):
+        seen.append((threading.active_count(), threading.get_ident()))
+        return k
+
+    def outer(stream, m):
+        return threading.get_ident(), run_all([(inner, k) for k in range(4)])
+
+    results = map_chunks(outer, 40_000, 1, 4)
+    assert [ks for _, ks in results] == [[0, 1, 2, 3]] * 4
+    # every inner call ran on its chunk's thread, and no pool started inside the pool
+    assert {ident for _, ident in seen} <= {ident for ident, _ in results}
+    assert max(count for count, _ in seen) <= before + rng.pool_size(4)
+    assert threading.active_count() == before
+
+
+def test_a_run_all_on_the_calling_thread_uses_the_pool(monkeypatch):
+    monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, 2))
+    before = threading.active_count()
+    idents = run_all([(threading.get_ident,)] * 4)
+    assert threading.get_ident() not in idents and len(set(idents)) <= 2
     assert threading.active_count() == before
 
 
@@ -84,3 +117,29 @@ def test_run_all_raises_the_first_error_in_call_order(monkeypatch, threads):
         run_all(calls)
     # one thread stops at the first error; a pool lets every call finish
     assert sorted(finished) == (["first"] if threads == 1 else ["first", "second", "third"])
+
+
+def test_copula_sample_rejects_a_negative_seed():
+    with pytest.raises(SpecError, match="seed must be an integer >= 0, got -1"):
+        copula_sample(Independence(), 10, -1)
+
+
+def test_eta_mc_rejects_a_fractional_sample_count():
+    with pytest.raises(SpecError, match=r"sample count must be an integer in \[1, 10000000\], got 20000.5"):
+        eta_mc(Shuffle(0.3), Uniform(0, 1), Uniform(0.2, 1.2), 20000.5, 1)
+
+
+def test_sample_uv_rejects_a_sample_count_beyond_the_cap():
+    with pytest.raises(SpecError, match="sample count must be an integer in"):
+        sample_uv(Independence(), 10 ** 12, 1)
+
+
+@pytest.mark.parametrize("n", [0, MAX_SAMPLES + 1, 2.0, "3"])
+def test_map_chunks_checks_the_point_count(n):
+    with pytest.raises(SpecError, match="sample count"):
+        map_chunks(first_draw, n, 5)
+
+
+def test_plan_and_map_chunks_share_one_sample_cap():
+    assert precedence.MAX_SAMPLES is MAX_SAMPLES and "MAX_SAMPLES" in precedence.__all__
+    assert sum(m for m, _ in map_chunks(first_draw, MAX_SAMPLES, 5, MAX_WORKERS)) == MAX_SAMPLES

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spcop import rng
 from spcop.dist import Normal
-from spcop.special import _BLOCK, erfc, normal_cdf, normal_pdf, normal_quantile
+from spcop.rng import BLOCK
+from spcop.special import erfc, normal_cdf, normal_pdf, normal_quantile
 
 
 def test_erfc_matches_libm():
@@ -92,8 +94,8 @@ def test_normal_pdf():
 
 def _seam_inputs(low, high, specials):
     """2 blocks + 37 points, with `specials` written across both block seams."""
-    x = np.random.default_rng(17).uniform(low, high, 2 * _BLOCK + 37)
-    for seam in (_BLOCK, 2 * _BLOCK):
+    x = np.random.default_rng(17).uniform(low, high, 2 * BLOCK + 37)
+    for seam in (BLOCK, 2 * BLOCK):
         x[seam - len(specials) // 2:seam - len(specials) // 2 + len(specials)] = specials
     return x
 
@@ -110,8 +112,33 @@ SEAM_CASES = {
 }
 
 
+# erfc's region edges, as normal_cdf's argument and as erfc's own (x / sqrt 2),
+# each with its neighbours on both sides
+_ERFC_EDGES = [t for e in (0.46875, 4.0, 26.6) for x in (e, e * math.sqrt(2.0)) for s in (1.0, -1.0)
+               for t in (s * np.nextafter(x, 0.0), s * x, s * np.nextafter(x, np.inf))]
+RAGGED_CASES = {
+    "normal_cdf": (normal_cdf, -40.0, 40.0, [np.nan, 0.0, -0.0, np.inf, -np.inf, *_ERFC_EDGES]),
+    "normal_quantile": (normal_quantile, 0.0, 1.0,
+                        [np.nan, 0.0, -0.0, 1.0, np.inf, -np.inf, 0.5, 0.02425, 1.0 - 0.02425,
+                         5e-324, 1e-300, 1.0 - 1e-16]),
+}
+
+
 class TestBlocks:
-    """Inputs longer than _BLOCK points run in _BLOCK-point slices."""
+    """Inputs longer than BLOCK points run in BLOCK-point slices, on the pool."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", RAGGED_CASES)
+    def test_ragged_input_on_the_pool_keeps_bits(self, monkeypatch, threads, name):
+        monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+        fn, low, high, specials = RAGGED_CASES[name]
+        # three whole blocks and a ragged 17; specials across two seams and at the end
+        x = np.random.default_rng(29).uniform(low, high, 3 * BLOCK + 17)
+        for start in (BLOCK - 7, 2 * BLOCK - 20, x.size - len(specials)):
+            x[start:start + len(specials)] = specials
+        whole = fn(x)
+        slices = np.concatenate([fn(x[k:k + BLOCK]) for k in range(0, x.size, BLOCK)])
+        assert np.array_equal(whole.view(np.int64), slices.view(np.int64))
 
     @pytest.mark.parametrize("name", SEAM_CASES)
     def test_seams_keep_bits(self, name):
@@ -124,14 +151,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("fn,low,high", [(normal_cdf, -9.0, 9.0), (normal_quantile, 0.0, 1.0)])
     def test_large_2d_input_keeps_its_shape(self, fn, low, high):
-        x = np.random.default_rng(19).uniform(low, high, (3, _BLOCK // 2 + 11))
+        x = np.random.default_rng(19).uniform(low, high, (3, BLOCK // 2 + 11))
         for arr in (x, x.T):  # C and Fortran order
             got = fn(arr)
             assert got.shape == arr.shape
             assert np.array_equal(got, fn(arr.ravel()).reshape(arr.shape))
 
     def test_large_integer_input_gives_floats(self):
-        k = np.arange(-_BLOCK, _BLOCK + 37) % 15 - 7
+        k = np.arange(-BLOCK, BLOCK + 37) % 15 - 7
         got = normal_cdf(k)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), normal_cdf(k.astype(float)).view(np.int64))
