@@ -304,8 +304,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     buffer = io.StringIO()
     try:
-        # numpy's overflow notes would precede the error line; the chunk
-        # threads read this filter too, as they would not read np.errstate
+        # numpy's overflow notes would precede the error line; the filter is
+        # process-wide, so the pool threads read it too
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = run(argv, buffer)

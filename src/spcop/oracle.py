@@ -17,7 +17,7 @@ from .copula import (CopulaSpec, Independence, MarshallOlkinConnecting,
                      OrderStatistics, Shuffle, sample_uv)
 from .dist import Distribution, Uniform
 from .errors import SpecError
-from .rng import BLOCK, make_stream, open_uniform, run_all
+from .rng import blocks, make_stream, open_uniform, run_all
 
 __all__ = [
     "LoadSharingModel", "load_sharing_sample", "load_sharing_survival",
@@ -40,14 +40,10 @@ def _tol(var, n):
     return max(0.002, 3.0 * math.sqrt(var / n))
 
 
-def _blocks(n):
-    return (slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
-
-
 def _share(test, x, y):
     """np.mean(test(x, y)) without its n-point mask: the count, summed block by
     block, over n is correctly rounded, as np.mean's is."""
-    return sum(np.count_nonzero(test(x[b], y[b])) for b in _blocks(len(x))) / len(x)
+    return sum(np.count_nonzero(test(x[b], y[b])) for b in blocks(len(x))) / len(x)
 
 
 def _counts_le(x, ts):
@@ -133,7 +129,7 @@ def order_stats_triple_sample(n: int, seed: int, base: Distribution = Uniform(0.
     changes no bit."""
     rng = make_stream(seed)
     t, x_prime, x_double = np.empty(n), np.empty(n), np.empty(n)
-    for b in _blocks(n):
+    for b in blocks(n):
         draws = base.quantile(open_uniform(rng, 5 * (b.stop - b.start)).reshape(-1, 5))
         np.minimum(draws[:, 0], draws[:, 1], out=t[b])
         np.maximum(draws[:, 0], draws[:, 1], out=x_prime[b])
@@ -186,7 +182,7 @@ def _empirical_copula(u, v, qs):
     which has np.mean's bits."""
     m = len(qs) + 1
     counts = np.zeros(m * m, dtype=np.int64)
-    for b in _blocks(len(u)):
+    for b in blocks(len(u)):
         counts += np.bincount(np.searchsorted(qs, u[b]) * m + np.searchsorted(qs, v[b]),
                               minlength=m * m)
     return counts.reshape(m, m).cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / len(u)

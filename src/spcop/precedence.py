@@ -17,7 +17,7 @@ from .copula import CopulaSpec, cell_masses, sample_uv  # noqa: F401
 from .dist import DiscreteAtoms, Distribution, check_order
 from .errors import Inconclusive, SizeLimit, SpecError, UnknownMass
 from .integrate import integrate_adaptive
-from .rng import BLOCK, MAX_SAMPLES, map_chunks, resolve_workers, run_all
+from .rng import MAX_SAMPLES, blocks, map_chunks, resolve_workers, run_all
 
 __all__ = [
     "PrecedenceReport", "ClassVerdict", "SpLevelResult", "eta_exact", "eta_mc",
@@ -135,12 +135,11 @@ def eta_mc(spec: CopulaSpec, g1: Distribution, g2: Distribution, n: int,
 
     def count(stream, m):
         # the chunk is sampled whole, so its draws do not move; mapping and
-        # counting are pointwise, so its BLOCK-point blocks run through run_all
-        # and only their two counts outlive them
+        # counting are pointwise, so its rng.BLOCK-point blocks run through
+        # run_all and only their two counts outlive them
         u, v, sing, struct_tie = spec.sample_arrays(stream, m)
         del sing
-        counts = run_all([(count_block, u[k:k + BLOCK], v[k:k + BLOCK], struct_tie[k:k + BLOCK])
-                          for k in range(0, m, BLOCK)])
+        counts = run_all([(count_block, u[b], v[b], struct_tie[b]) for b in blocks(m)])
         return sum(c for c, _ in counts), sum(t for _, t in counts)
 
     counts = map_chunks(count, n, seed, workers)

@@ -11,6 +11,7 @@ The thread count never changes a result.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 import threading
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import SpecError
 
 __all__ = ["make_stream", "worker_streams", "chunk_sizes", "open_uniform", "resolve_workers",
-           "pool_size", "run_all", "map_chunks", "BLOCK", "MAX_SAMPLES", "MAX_WORKERS"]
+           "pool_size", "run_all", "map_chunks", "blocks", "BLOCK", "MAX_SAMPLES", "MAX_WORKERS"]
 
 # each worker is one Philox stream and one chunk, so the count bounds the work
 MAX_WORKERS = 1024
@@ -51,6 +52,11 @@ def chunk_sizes(n: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def blocks(n: int):
+    """The BLOCK-point slices that cover n points, in order; the last may be short."""
+    return (slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
+
+
 def pool_size(workers: int) -> int:
     """Threads that run `workers` chunks: at most one per chunk and per usable CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -65,10 +71,10 @@ def run_all(calls) -> list:
     """[f(*args) for f, *args in calls], in call order.
 
     The calls run on pool_size(len(calls)) threads; numpy releases the
-    interpreter lock inside its array loops, so they overlap. Called on a
-    pool thread, it runs them inline: a pool never runs inside a pool. The
-    first error in call order is raised; on threads, once every call has
-    finished.
+    interpreter lock inside its array loops, so they overlap, each under the
+    caller's np.errstate. Called on a pool thread, it runs them inline: a
+    pool never runs inside a pool. The first error in call order is raised;
+    on threads, once every call has finished.
     """
     threads = 1 if getattr(_pool_thread, "active", False) else pool_size(len(calls))
     if threads == 1:
@@ -78,7 +84,8 @@ def run_all(calls) -> list:
 
     _share_malloc_arena()
     with ThreadPoolExecutor(threads, initializer=_enter_pool) as pool:
-        futures = [pool.submit(*call) for call in calls]
+        # each call runs in a copy of the caller's context, where np.errstate lives
+        futures = [pool.submit(contextvars.copy_context().run, *call) for call in calls]
     return [f.result() for f in futures]
 
 

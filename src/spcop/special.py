@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .rng import BLOCK, run_all
+from .rng import BLOCK, blocks, run_all
 
 __all__ = ["erfc", "normal_cdf", "normal_quantile", "normal_pdf"]
 
@@ -142,10 +142,10 @@ def _blocked(kernel):
         flat = np.ravel(x)
         out = np.empty(flat.size)
 
-        def fill(k):
-            out[k:k + BLOCK] = kernel(flat[k:k + BLOCK], mean, sd)
+        def fill(b):
+            out[b] = kernel(flat[b], mean, sd)
 
-        run_all([(fill, k) for k in range(0, flat.size, BLOCK)])
+        run_all([(fill, b) for b in blocks(flat.size)])
         return out.reshape(np.shape(x))
     return run
 

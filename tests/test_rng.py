@@ -5,6 +5,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from spcop import precedence, rng
@@ -78,6 +79,15 @@ def test_a_run_all_on_the_calling_thread_uses_the_pool(monkeypatch):
     idents = run_all([(threading.get_ident,)] * 4)
     assert threading.get_ident() not in idents and len(set(idents)) <= 2
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_callers_errstate_reaches_the_pool(monkeypatch, threads):
+    monkeypatch.setattr(rng, "pool_size", lambda calls: min(calls, threads))
+    with np.errstate(over="raise", under="ignore"):
+        assert run_all([(np.geterr,)] * 3) == [np.geterr()] * 3
+        with pytest.raises(FloatingPointError):
+            run_all([(np.multiply, 1e308, 10.0)] * 3)
 
 
 def test_the_first_chunk_error_in_chunk_order_is_raised():
